@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-fast test race check chaos chaos-smoke bench bench-smoke bench-json reprod-smoke wal-smoke experiments examples clean
+.PHONY: all build vet lint lint-fast test race check chaos chaos-smoke bench bench-smoke bench-json bench-verify reprod-smoke wal-smoke experiments examples clean
 
 all: build vet test
 
@@ -8,7 +8,7 @@ all: build vet test
 # lint runs at tier 2 (type-aware dataflow) and audits the tree's
 # suppression directives; the tier-2 smoke budget (<10s on the whole
 # tree) is asserted by TestTierTwoBudget in internal/lint.
-check: build vet lint test race chaos-smoke bench-smoke reprod-smoke wal-smoke
+check: build vet lint test race chaos-smoke bench-smoke bench-verify reprod-smoke wal-smoke
 
 build:
 	$(GO) build ./...
@@ -85,7 +85,29 @@ bench-json:
 	$(GO) run ./cmd/benchkernels -o BENCH_kernels.json
 	$(GO) run ./cmd/benchstream -o BENCH_stream.json
 	$(GO) run ./cmd/benchgroup -o BENCH_group.json
+	$(GO) run ./cmd/benchcapture -o BENCH_capture.json
 	$(GO) run ./cmd/benchshard -o BENCH_shard.json
+
+# bench-verify regenerates every deterministic baseline into a temp dir
+# and diffs it against the tracked file with the wall-clock and toolchain
+# fields dropped, so a change that moves any virtual or read-op column
+# fails the gate. Each runner is pinned to the GOMAXPROCS its tracked
+# file records: the tree-diff start level follows the executor's worker
+# count, so virtual columns move with it. BENCH_kernels.json is all wall
+# time and is not verified. Part of `make check`.
+JQ ?= jq
+BENCH_VERIFIED = stream group shard capture
+BENCH_VOLATILE = walk(if type == "object" then del(.wall_ms, .generated_at, .go_version, .incremental_ms_per_capture, .full_rebuild_ms) else . end)
+bench-verify:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for b in $(BENCH_VERIFIED); do \
+		procs=$$($(JQ) .gomaxprocs BENCH_$$b.json) && \
+		GOMAXPROCS=$$procs $(GO) run ./cmd/bench$$b -o $$tmp/BENCH_$$b.json > /dev/null && \
+		$(JQ) -S '$(BENCH_VOLATILE)' BENCH_$$b.json > $$tmp/want.json && \
+		$(JQ) -S '$(BENCH_VOLATILE)' $$tmp/BENCH_$$b.json > $$tmp/got.json && \
+		diff -u $$tmp/want.json $$tmp/got.json || { echo "bench-verify: BENCH_$$b.json differs (GOMAXPROCS=$$procs)"; exit 1; }; \
+		echo "bench-verify: BENCH_$$b.json ok (GOMAXPROCS=$$procs)"; \
+	done
 
 # Regenerate every paper table and figure (see EXPERIMENTS.md).
 experiments:

@@ -210,43 +210,96 @@ func (ringClosedBackend) ReadBatch(context.Context, *pfs.File, []aio.ReadReq) (p
 	return pfs.Cost{}, 0, aio.ErrRingClosed
 }
 
-// TestDegradeRingClosedFallsBack: a closed shared ring falls back to a
-// fresh ring per slice — the first ladder rung — without degrading.
-func TestDegradeRingClosedFallsBack(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
-	env := newEnv(t, 64<<10, opts, synth.DefaultPerturb(74))
-	opts.Backend = ringClosedBackend{}
-	res, err := CompareMerkle(context.Background(), env.store, env.nameA, env.nameB, opts)
-	if err != nil {
-		t.Fatalf("closed ring should fall back, not fail: %v", err)
-	}
-	if res.RingFallbacks == 0 {
-		t.Error("fallback not accounted in RingFallbacks")
-	}
-	if res.Degraded {
-		t.Error("ring fallback must not degrade the result")
-	}
-	assertSameDiffs(t, groundTruth(t, env, 1e-5), diffsToMap(res.Diffs), "fallback")
+// chunkSource is one place stage 2 reads chunk bytes from: the same
+// divergent pair stored as checkpoint containers or differentially
+// captured into the shared CAS pack.
+type chunkSource struct {
+	name  string
+	pair  func(opts Options) (*Result, error)
+	group func(opts Options) (*GroupReport, error)
 }
 
-// TestGroupRingClosedFallsBack: group member unions served by the
-// fresh-ring fallback complete undegraded and are accounted.
+// chunkSources writes one perturbed pair into both chunk sources and
+// returns the ground-truth diffs alongside them.
+func chunkSources(t *testing.T, opts Options, seed int64) ([]chunkSource, map[string][]int64) {
+	t.Helper()
+	const elems = 64 << 10
+	env := newEnv(t, elems, opts, synth.DefaultPerturb(seed))
+	denv := newDiffEnv(t, opts)
+	fields := f32Fields([]string{"x", "vx", "phi"}, elems)
+	packA, _ := denv.capture(t, "runA", 10, fields, env.dataA)
+	packB, _ := denv.capture(t, "runB", 10, fields, env.dataB)
+	denv.store.EvictAll()
+	ctx := context.Background()
+	return []chunkSource{
+		{
+			name: "container",
+			pair: func(o Options) (*Result, error) {
+				return CompareMerkle(ctx, env.store, env.nameA, env.nameB, o)
+			},
+			group: func(o Options) (*GroupReport, error) {
+				return GroupCompare(ctx, env.store, env.nameA, []string{env.nameB}, TopologyStar, o)
+			},
+		},
+		{
+			name: "cas-pack",
+			pair: func(o Options) (*Result, error) {
+				return CompareDiff(ctx, denv.store, denv.cs, packA, packB, o)
+			},
+			group: func(o Options) (*GroupReport, error) {
+				return GroupCompareDiff(ctx, denv.store, denv.cs, packA, []string{packB}, TopologyStar, o)
+			},
+		},
+	}, groundTruth(t, env, opts.Epsilon)
+}
+
+// TestDegradeRingClosedFallsBack: a closed shared ring falls back to a
+// fresh ring per slice — the first ladder rung — without degrading, for
+// both chunk sources.
+func TestDegradeRingClosedFallsBack(t *testing.T) {
+	opts := baseOpts(1e-5, 4<<10)
+	sources, want := chunkSources(t, opts, 74)
+	opts.Backend = ringClosedBackend{}
+	for _, src := range sources {
+		t.Run(src.name, func(t *testing.T) {
+			res, err := src.pair(opts)
+			if err != nil {
+				t.Fatalf("closed ring should fall back, not fail: %v", err)
+			}
+			if res.RingFallbacks == 0 {
+				t.Error("fallback not accounted in RingFallbacks")
+			}
+			if res.Degraded {
+				t.Error("ring fallback must not degrade the result")
+			}
+			assertSameDiffs(t, want, diffsToMap(res.Diffs), "fallback")
+		})
+	}
+}
+
+// TestGroupRingClosedFallsBack: group unions served by the fresh-ring
+// fallback complete undegraded and are accounted, for both chunk sources.
 func TestGroupRingClosedFallsBack(t *testing.T) {
 	opts := baseOpts(1e-5, 4<<10)
-	env := newEnv(t, 64<<10, opts, synth.DefaultPerturb(77))
+	sources, want := chunkSources(t, opts, 77)
 	opts.Backend = ringClosedBackend{}
-	rep, err := GroupCompare(context.Background(), env.store, env.nameA, []string{env.nameB}, TopologyStar, opts)
-	if err != nil {
-		t.Fatalf("closed ring should fall back, not fail: %v", err)
-	}
-	if rep.RingFallbacks == 0 {
-		t.Error("fallback not accounted in GroupReport.RingFallbacks")
-	}
-	if rep.Degraded() {
-		t.Error("ring fallback must not degrade the group")
-	}
-	if rep.Pairs[0].Result.DiffCount == 0 {
-		t.Error("divergent pair lost its diffs through the fallback")
+	for _, src := range sources {
+		t.Run(src.name, func(t *testing.T) {
+			rep, err := src.group(opts)
+			if err != nil {
+				t.Fatalf("closed ring should fall back, not fail: %v", err)
+			}
+			if rep.RingFallbacks == 0 {
+				t.Error("fallback not accounted in GroupReport.RingFallbacks")
+			}
+			if rep.Degraded() {
+				t.Error("ring fallback must not degrade the group")
+			}
+			if rep.Pairs[0].Result.DiffCount == 0 {
+				t.Error("divergent pair lost its diffs through the fallback")
+			}
+			assertSameDiffs(t, want, diffsToMap(rep.Pairs[0].Result.Diffs), "group fallback")
+		})
 	}
 }
 
