@@ -169,22 +169,11 @@ func MetadataHistory(store *pfs.Store, runID string) ([]string, error) {
 // -1 (unknown count) when candidate chunks exist. Its engine plan is
 // setup → load-metadata → tree-diff → report.
 func CompareTreesOnly(ctx context.Context, store *pfs.Store, nameA, nameB string, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
+	opts, err := opts.Normalize()
+	if err != nil {
 		return nil, err
 	}
-	st := newPairState(store, nameA, nameB, opts, "merkle-meta")
-	st.dataless = true
-	var p engine.Plan
-	p.Retry = opts.Retry
-	setup := p.Add(engine.StepSetup, "setup", st.stepSetupVirtual)
-	load := p.Add(engine.StepLoadMetadata, "load-metadata", st.stepLoadMetadata, setup)
-	diff := p.Add(engine.StepTreeDiff, "tree-diff", st.stepTreeDiff, load)
-	p.Add(engine.StepReport, "report", func(ctx context.Context, x *engine.Exec) error {
-		if st.res.CandidateChunks > 0 {
-			st.res.DiffCount = -1
-		}
-		return nil
-	}, diff)
-	return st.runPlan(ctx, &p)
+	f := newPairFront(store, nil, nameA, nameB, opts, "merkle-meta")
+	f.noData = true
+	return pairResult(f.run(ctx, "setup", true))
 }

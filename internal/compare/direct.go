@@ -31,72 +31,48 @@ func hostCompareModel() device.Model {
 // engine plan is the Merkle plan minus stage 1:
 // open → plan-sweep → stream-verify → report.
 func CompareDirect(ctx context.Context, store *pfs.Store, nameA, nameB string, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
+	opts, err := opts.Normalize()
+	if err != nil {
 		return nil, err
 	}
-	st := newPairState(store, nameA, nameB, opts, "direct")
-	st.verifyWrap = "direct"
-	var p engine.Plan
-	p.Retry = opts.Retry
-	open := p.Add(engine.StepSetup, "open-checkpoints", st.stepOpenPair)
-	plan := p.Add(engine.StepCoalesce, "plan-sweep", st.stepPlanSweep, open)
-	verify := p.Add(engine.StepStreamVerify, "stream-verify", st.stepStreamVerify, plan)
-	p.Add(engine.StepReport, "report", st.stepReportDirect, verify)
-	return st.runPlan(ctx, &p)
+	f := newPairFront(store, nil, nameA, nameB, opts, "direct")
+	return pairResult(f.run(ctx, "open-checkpoints", false, f.streamSteps("plan-sweep", f.stepPlanSweep)...))
 }
 
 // stepPlanSweep builds one whole-checkpoint stream of contiguous
 // slice-sized chunk pairs spanning every selected field, so the sequential
 // sweep pays the batch latency once.
-func (st *pairState) stepPlanSweep(ctx context.Context, x *engine.Exec) error {
-	ra, rb := st.ra, st.rb
-	names := make([]string, ra.NumFields())
-	for i := range names {
-		names[i] = ra.Field(i).Name
+func (f *Front) stepPlanSweep(ctx context.Context, x *engine.Exec) error {
+	ra, rb := f.readers[0], f.readers[1]
+	f.fields = make([]string, ra.NumFields())
+	for i := range f.fields {
+		f.fields[i] = ra.Field(i).Name
 	}
-	selected, err := st.opts.fieldFilter(names)
+	selected, err := f.opts.fieldFilter(f.fields)
 	if err != nil {
 		return err
 	}
-	st.selected = selected
 	for fi := 0; fi < ra.NumFields(); fi++ {
-		f := ra.Field(fi)
-		if !selected(f.Name) {
+		fld := ra.Field(fi)
+		if !selected(fld.Name) {
 			continue
 		}
-		h, err := st.opts.hasherFor(f.DType)
+		h, err := f.hasher(fld.DType)
 		if err != nil {
 			return err
 		}
-		eltSize := int64(f.DType.Size())
-		fb := f.Bytes()
-		chunkSize := int64(st.opts.SliceBytes)
+		eltSize := int64(fld.DType.Size())
+		fb := fld.Bytes()
+		sliceBytes := int64(f.opts.SliceBytes)
 		baseA := ra.FieldFileOffset(fi)
 		baseB := rb.FieldFileOffset(fi)
-		for off := int64(0); off < fb; off += chunkSize {
-			n := chunkSize
-			if off+n > fb {
-				n = fb - off
-			}
-			st.pairs = append(st.pairs, stream.ChunkPair{
-				Index: len(st.refs), OffA: baseA + off, OffB: baseB + off, Len: int(n),
-			})
-			st.refs = append(st.refs, chunkRef{
-				field:    fi,
-				chunk:    -1, // the sweep has no Merkle chunk notion
-				baseElem: off / eltSize,
-				hasher:   h,
-			})
+		for off := int64(0); off < fb; off += sliceBytes {
+			n := min(sliceBytes, fb-off)
+			f.refs = append(f.refs, chunkRef{field: fi, chunk: -1, baseElem: off / eltSize, hasher: h})
+			f.chunks = append(f.chunks, stream.ChunkPair{Index: len(f.chunks), OffA: baseA + off, OffB: baseB + off, Len: int(n)})
 		}
-		st.res.TotalElements += f.Count
+		f.totalElements += fld.Count
 	}
-	return nil
-}
-
-// stepReportDirect drains the divergence lists into the result.
-func (st *pairState) stepReportDirect(ctx context.Context, x *engine.Exec) error {
-	st.sortedFieldDiffs(func(fi int) string { return st.ra.Field(fi).Name }, st.ra.NumFields())
 	return nil
 }
 
@@ -107,24 +83,23 @@ func (st *pairState) stepReportDirect(ctx context.Context, x *engine.Exec) error
 // where — which is why Result.Diffs stays empty. Its plan is
 // open → read-compare → report, with the context checked between fields.
 func CompareAllClose(ctx context.Context, store *pfs.Store, nameA, nameB string, opts Options) (bool, *Result, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
+	opts, err := opts.Normalize()
+	if err != nil {
 		return false, nil, err
 	}
-	st := newPairState(store, nameA, nameB, opts, "allclose")
+	f := newPairFront(store, nil, nameA, nameB, opts, "allclose")
 	allWithin := true
 	var p engine.Plan
 	p.Retry = opts.Retry
-	open := p.Add(engine.StepSetup, "open-checkpoints", st.stepOpenPair)
+	open := p.Add(engine.StepSetup, "open-checkpoints", f.stepOpen)
 	p.Add(engine.StepReadFull, "read-compare", func(ctx context.Context, x *engine.Exec) error {
-		ok, err := st.allCloseFields(ctx, x)
-		if err != nil {
-			return err
-		}
+		ok, err := f.allCloseFields(ctx, x)
 		allWithin = ok
-		return nil
+		return err
 	}, open)
-	res, err := st.runPlan(ctx, &p)
+	erep, err := engine.Execute(ctx, &p)
+	f.rep.Steps = erep.Steps
+	res, err := pairResult(f.rep, err)
 	if err != nil {
 		return false, nil, err
 	}
@@ -133,18 +108,19 @@ func CompareAllClose(ctx context.Context, store *pfs.Store, nameA, nameB string,
 
 // allCloseFields runs the blocking per-field read + host compare loop of
 // the AllClose baseline.
-func (st *pairState) allCloseFields(ctx context.Context, x *engine.Exec) (bool, error) {
+func (f *Front) allCloseFields(ctx context.Context, x *engine.Exec) (bool, error) {
 	sw := metrics.NewStopwatch()
-	ra, rb := st.ra, st.rb
-	model := st.store.Model()
-	sharers := st.store.Sharers()
+	ra, rb := f.readers[0], f.readers[1]
+	res := f.rep.Pairs[0].Result
+	model := f.store.Model()
+	sharers := f.store.Sharers()
 	hostModel := hostCompareModel()
 
 	names := make([]string, ra.NumFields())
 	for i := range names {
 		names[i] = ra.Field(i).Name
 	}
-	selected, err := st.opts.fieldFilter(names)
+	selected, err := f.opts.fieldFilter(names)
 	if err != nil {
 		return false, err
 	}
@@ -154,11 +130,11 @@ func (st *pairState) allCloseFields(ctx context.Context, x *engine.Exec) (bool, 
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		f := ra.Field(fi)
-		if !selected(f.Name) {
+		fld := ra.Field(fi)
+		if !selected(fld.Name) {
 			continue
 		}
-		hasher, err := st.opts.hasherFor(f.DType)
+		hasher, err := f.hasher(fld.DType)
 		if err != nil {
 			return false, err
 		}
@@ -175,16 +151,16 @@ func (st *pairState) allCloseFields(ctx context.Context, x *engine.Exec) (bool, 
 		var cost pfs.Cost
 		cost.Add(costA)
 		cost.Add(costB)
-		st.res.BytesRead += cost.TotalBytes()
+		f.rep.BytesRead += cost.TotalBytes()
 		readV := model.SerialReadTime(cost, sharers)
-		st.res.Breakdown.AddVirtual(metrics.PhaseRead, readV)
-		st.res.Breakdown.AddWall(metrics.PhaseRead, sw.Lap())
+		f.rep.Breakdown.AddVirtual(metrics.PhaseRead, readV)
+		f.rep.Breakdown.AddWall(metrics.PhaseRead, sw.Lap())
 
 		// Vectorized full-array comparison on the host (numpy computes
 		// the whole boolean array; there is no early exit).
 		var ok bool
-		if st.opts.RelEpsilon > 0 {
-			ok, err = errbound.AllCloseRel(da, db, f.DType, st.opts.Epsilon, st.opts.RelEpsilon)
+		if f.opts.RelEpsilon > 0 {
+			ok, err = errbound.AllCloseRel(da, db, fld.DType, f.opts.Epsilon, f.opts.RelEpsilon)
 		} else {
 			ok, err = hasher.AllClose(da, db)
 		}
@@ -194,14 +170,14 @@ func (st *pairState) allCloseFields(ctx context.Context, x *engine.Exec) (bool, 
 		if !ok {
 			allWithin = false
 		}
-		st.res.TotalElements += f.Count
-		compV := hostModel.CompareTime(f.Bytes())
-		st.res.Breakdown.AddVirtual(metrics.PhaseCompareDirect, compV)
-		st.res.Breakdown.AddWall(metrics.PhaseCompareDirect, sw.Lap())
+		res.TotalElements += fld.Count
+		compV := hostModel.CompareTime(fld.Bytes())
+		f.rep.Breakdown.AddVirtual(metrics.PhaseCompareDirect, compV)
+		f.rep.Breakdown.AddWall(metrics.PhaseCompareDirect, sw.Lap())
 		x.AddVirtual(readV + compV)
 	}
 	if !allWithin {
-		st.res.DiffCount = -1 // unknown count: allclose only answers the boolean
+		res.DiffCount = -1 // unknown count: allclose only answers the boolean
 	}
 	return allWithin, nil
 }

@@ -2,22 +2,16 @@ package compare
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
 
 	"repro/internal/aio"
 	"repro/internal/cas"
-	"repro/internal/ckpt"
-	"repro/internal/device"
 	"repro/internal/engine"
-	"repro/internal/errbound"
-	"repro/internal/merkle"
 	"repro/internal/metrics"
 	"repro/internal/murmur3"
 	"repro/internal/pfs"
-	"repro/internal/simclock"
 	"repro/internal/stream"
 )
 
@@ -69,12 +63,6 @@ func (t Topology) pairList(n int) ([][2]int, error) {
 	}
 	return out, nil
 }
-
-// PairList enumerates the member-index pairs the topology covers over n
-// members (member 0 is the baseline) — exported so out-of-package
-// planners (internal/shard) cover exactly the same pairs in the same
-// order.
-func (t Topology) PairList(n int) ([][2]int, error) { return t.pairList(n) }
 
 // GroupPairReport is one pair's outcome within a group comparison.
 type GroupPairReport struct {
@@ -153,62 +141,6 @@ func (g *GroupReport) UnverifiedChunks() int {
 	return total
 }
 
-// unionChunk is one (field, chunk) a member must be read at, with its
-// file-offset range.
-type unionChunk struct {
-	field, chunk int
-	off          int64 // chunk offset within the field
-	n            int
-}
-
-// memberUnion is one member's deduplicated stage-2 read plan: the union of
-// candidate chunks over every pair the member participates in, read once.
-type memberUnion struct {
-	entries []unionChunk
-	pos     map[[2]int]int64 // (field, chunk) -> offset into buf
-	buf     []byte
-	reqs    []aio.ReadReq
-}
-
-// groupState carries one group comparison through its plan steps.
-type groupState struct {
-	store   *pfs.Store
-	members []string
-	topo    Topology
-	opts    Options
-	rep     *GroupReport
-
-	readers  []*ckpt.Reader
-	metas    []*Metadata
-	selected func(string) bool
-	pairIdx  [][2]int
-	// pairCands[p][f] holds pair p's candidate chunks in field f
-	// (nil when the field's trees match).
-	pairCands [][][]int
-	unions    []memberUnion
-
-	startOps, startBytes int64
-	totalElements        int64
-
-	// chunkOK caches per-member (field, chunk) integrity verdicts under
-	// Options.Degrade: 0 unchecked, 1 verified, 2 unverifiable.
-	chunkOK    []map[[2]int]int8
-	rereads    int
-	rereadCost pfs.Cost
-
-	// Differential mode (GroupCompareDiff): members are manifests over a
-	// shared CAS pack, stage 2 is one loc-deduplicated pack read, and memo
-	// replays land per pair at report time.
-	diffMode  bool
-	cs        *cas.Store
-	mans      []*cas.Manifest
-	pack      *pfs.File
-	packUnion memberUnion
-	// replays[pi][fi][ci] holds a pair's memo-replayed absolute diff
-	// indices (possibly empty: proven identical within ε).
-	replays []map[int]map[int][]int64
-}
-
 // GroupCompare compares N runs' checkpoints as one group: each member's
 // metadata is loaded once, the tree diffs of every pair (by topology) run
 // from those in-memory trees, the candidate-chunk sets of pairs sharing a
@@ -220,313 +152,139 @@ type groupState struct {
 // vs each run) or all-pairs coverage. Every member must have Merkle
 // metadata at the options' ε and chunk size.
 func GroupCompare(ctx context.Context, store *pfs.Store, baseline string, runs []string, topology Topology, opts Options) (*GroupReport, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	if len(runs) == 0 {
-		return nil, fmt.Errorf("compare: group needs at least one run besides the baseline")
-	}
-	members := append([]string{baseline}, runs...)
-	pairIdx, err := topology.pairList(len(members))
+	return groupCompare(ctx, store, nil, baseline, runs, topology, opts, "merkle-group", "open-members", "merge-unions")
+}
+
+// GroupCompareDiff compares N differentially captured runs as one group.
+// It composes the two read-reduction layers: the group reads each chunk
+// once however many pairs share it, and the CAS pack collapses that
+// further — chunks deduplicated across members (the common case for runs
+// of the same simulation) occupy one extent, fetched once for the whole
+// group. CAS pruning removes candidates whose verdict the store proves
+// (never reported Unverified — their verdict is proven, not skipped)
+// before the union is assembled. Member 0 is the baseline. Every member
+// must have been captured into cs with its manifest and metadata on the
+// store at the options' ε.
+func GroupCompareDiff(ctx context.Context, store *pfs.Store, cs *cas.Store, baseline string, runs []string, topology Topology, opts Options) (*GroupReport, error) {
+	return groupCompare(ctx, store, cs, baseline, runs, topology, opts, "merkle-cas-group", "open-manifests", "merge-pack-union")
+}
+
+func groupCompare(ctx context.Context, store *pfs.Store, cs *cas.Store, baseline string, runs []string, topology Topology, opts Options, method, openLabel, mergeLabel string) (*GroupReport, error) {
+	opts, err := opts.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	st := &groupState{
-		store:   store,
-		members: members,
-		topo:    topology,
-		opts:    opts,
-		pairIdx: pairIdx,
-		rep:     &GroupReport{Members: members, Topology: topology},
-	}
-	var p engine.Plan
-	p.Retry = opts.Retry
-	open := p.Add(engine.StepSetup, "open-members", st.stepOpenMembers)
-	load := p.Add(engine.StepLoadMetadata, "load-metadata", st.stepLoadMembers, open)
-	diff := p.Add(engine.StepTreeDiff, "tree-diff", st.stepPairDiffs, load)
-	merge := p.Add(engine.StepCoalesce, "merge-unions", st.stepMergeUnions, diff)
-	verify := p.Add(engine.StepStreamVerify, "shared-read-verify", st.stepSharedVerify, merge)
-	p.Add(engine.StepReport, "report", st.stepGroupReport, verify)
-	erep, err := engine.Execute(ctx, &p)
-	st.rep.Steps = erep.Steps
+	f, err := newGroupFront(store, cs, baseline, runs, topology, opts, method)
 	if err != nil {
 		return nil, err
 	}
-	return st.rep, nil
+	return f.run(ctx, openLabel, true,
+		planStep{engine.StepCoalesce, mergeLabel, f.stepMergeUnions},
+		planStep{engine.StepStreamVerify, "shared-read-verify", f.stepSharedVerify})
 }
 
-// stepOpenMembers opens every member once and validates schema parity.
-func (st *groupState) stepOpenMembers(ctx context.Context, x *engine.Exec) error {
-	sw := metrics.NewStopwatch()
-	st.startOps, st.startBytes = st.store.ReadStats()
-	st.readers = make([]*ckpt.Reader, len(st.members))
-	for i, name := range st.members {
-		r, _, err := ckpt.OpenReader(st.store, name)
-		if err != nil {
-			return err
-		}
-		x.CloseOnExit(r)
-		st.readers[i] = r
-		if i > 0 && !ckpt.SameSchema(st.readers[0].Meta(), r.Meta()) {
-			return fmt.Errorf("compare: %s and %s have different schemas", st.members[0], name)
-		}
-	}
-	st.rep.CheckpointBytes = st.readers[0].Meta().TotalBytes()
-	st.rep.Breakdown.AddVirtual(metrics.PhaseSetup, st.opts.SetupVirtual)
-	st.rep.Breakdown.AddWall(metrics.PhaseSetup, sw.Lap())
-	x.AddVirtual(st.opts.SetupVirtual)
-	return nil
+// union is one file's deduplicated stage-2 read: every extent any pair
+// needs from the file, offset-sorted and read once into buf.
+type union struct {
+	pos  map[int64]int64 // extent offset -> position in buf
+	buf  []byte
+	reqs []aio.ReadReq
 }
 
-// stepLoadMembers loads each member's metadata exactly once — the first
-// saving versus sequential pairwise comparison, which loads a shared
-// member's metadata once per pair.
-func (st *groupState) stepLoadMembers(ctx context.Context, x *engine.Exec) error {
-	sw := metrics.NewStopwatch()
-	model := st.store.Model()
-	sharers := st.store.Sharers()
-	st.metas = make([]*Metadata, len(st.members))
-	var metaCost pfs.Cost
-	var deserWall time.Duration
-	for i, name := range st.members {
-		m, cost, dwall, err := LoadMetadata(ctx, st.store, name)
-		if err != nil {
-			return err
-		}
-		metaCost.Add(cost)
-		deserWall += dwall
-		st.metas[i] = m
-		if i > 0 {
-			if err := checkMetaPair(st.metas[0], m, st.opts.Epsilon); err != nil {
-				return err
-			}
-		}
+// unionOf returns the union member m's chunks are read into: its own
+// container's, or the one shared pack's.
+func (f *Front) unionOf(m int) int {
+	if f.pack != nil {
+		return 0
 	}
-	//lint:ignore epsflow ε settings are configuration, not computed values; they must match exactly
-	if st.metas[0].Epsilon != st.opts.Epsilon {
-		return fmt.Errorf("compare: metadata ε %g does not match requested ε %g",
-			st.metas[0].Epsilon, st.opts.Epsilon)
-	}
-	st.rep.MemberRoots = make([]murmur3.Digest, len(st.metas))
-	for i, m := range st.metas {
-		st.rep.MemberRoots[i] = m.CombinedRoot()
-	}
-	st.rep.MetadataBytes = st.metas[0].Bytes()
-	st.rep.BytesRead += metaCost.TotalBytes()
-	readV := model.SerialReadTime(metaCost, sharers)
-	deserV := simclock.BandwidthTime(metaCost.TotalBytes(), deserializeBytesPerSec)
-	st.rep.Breakdown.AddVirtual(metrics.PhaseRead, readV)
-	st.rep.Breakdown.AddWall(metrics.PhaseRead, sw.Lap())
-	st.rep.Breakdown.AddVirtual(metrics.PhaseDeserialize, deserV)
-	st.rep.Breakdown.AddWall(metrics.PhaseDeserialize, deserWall)
-	x.AddVirtual(readV + deserV)
-
-	fieldNames := make([]string, len(st.metas[0].Fields))
-	for i := range fieldNames {
-		fieldNames[i] = st.metas[0].Fields[i].Name
-	}
-	selected, err := st.opts.fieldFilter(fieldNames)
-	if err != nil {
-		return err
-	}
-	st.selected = selected
-	for _, fm := range st.metas[0].Fields {
-		if selected(fm.Name) {
-			st.totalElements += fm.Tree.DataLen() / int64(fm.DType.Size())
-		}
-	}
-	return nil
+	return m
 }
 
-// stepPairDiffs runs stage 1 for every pair from the in-memory trees: no
-// additional I/O regardless of pair count.
-func (st *groupState) stepPairDiffs(ctx context.Context, x *engine.Exec) error {
-	sw := metrics.NewStopwatch()
-	exec := device.Cancelable{Done: ctx.Done(), Inner: st.opts.Exec}
-	nFields := len(st.metas[0].Fields)
-	st.pairCands = make([][][]int, len(st.pairIdx))
-	st.rep.Pairs = make([]GroupPairReport, len(st.pairIdx))
-	var treeVirtual time.Duration
-	method := "merkle-group"
-	if st.diffMode {
-		method = "merkle-cas-group"
-	}
-	for pi, pr := range st.pairIdx {
-		a, b := pr[0], pr[1]
-		res := &Result{
-			Method:          method,
-			CheckpointBytes: st.rep.CheckpointBytes,
-			MetadataBytes:   st.rep.MetadataBytes,
-			TotalElements:   st.totalElements,
-		}
-		st.rep.Pairs[pi] = GroupPairReport{
-			A: a, B: b, NameA: st.members[a], NameB: st.members[b], Result: res,
-		}
-		st.pairCands[pi] = make([][]int, nFields)
-		for fi := 0; fi < nFields; fi++ {
-			fm := st.metas[a].Fields[fi]
-			if !st.selected(fm.Name) {
-				continue
-			}
-			ta, tb := fm.Tree, st.metas[b].Fields[fi].Tree
-			start := st.opts.StartLevel
-			if start < 0 {
-				start = ta.DefaultStartLevel(exec.Workers())
-			}
-			chunks, nodes, err := merkle.Diff(ta, tb, start, exec)
-			if err != nil {
-				return fmt.Errorf("compare: pair %s vs %s field %q: %w",
-					st.members[a], st.members[b], fm.Name, err)
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			res.TotalChunks += ta.NumChunks()
-			res.CandidateChunks += len(chunks)
-			if len(chunks) > 0 {
-				st.pairCands[pi][fi] = chunks
-			}
-			levels := ta.Depth() - start + 1
-			treeVirtual += time.Duration(levels)*st.opts.Device.KernelLaunch +
-				simclock.BandwidthTime(nodes*16, float64(st.opts.Device.NodeHashesPerSec)*16)
-		}
-	}
-	st.rep.Breakdown.AddVirtual(metrics.PhaseCompareTree, treeVirtual)
-	st.rep.Breakdown.AddWall(metrics.PhaseCompareTree, sw.Lap())
-	x.AddVirtual(treeVirtual)
-	return nil
-}
-
-// stepMergeUnions merges the candidate-chunk sets of every pair sharing a
-// member into one deduplicated, offset-sorted read plan per member — the
-// second saving: a chunk two pairs both need from the same member is read
-// once, not twice.
-func (st *groupState) stepMergeUnions(ctx context.Context, x *engine.Exec) error {
-	need := make([]map[[2]int]bool, len(st.members))
-	for pi, pr := range st.pairIdx {
-		for fi, chunks := range st.pairCands[pi] {
+// stepMergeUnions builds the shared-union executor's read plan: the union
+// of every pair's candidate chunks, keyed by (file, extent). A chunk two
+// pairs both need from one member — or, in the pack, two members share
+// as one deduplicated extent — is read once for the whole group.
+func (f *Front) stepMergeUnions(ctx context.Context, x *engine.Exec) error {
+	need := make([]map[int64]int, len(f.rep.Members)) // union -> extent offset -> length
+	for pi, pr := range f.rep.Pairs {
+		for fi, chunks := range f.accs[pi].cands {
 			for _, ci := range chunks {
-				key := [2]int{fi, ci}
-				for _, m := range []int{pr[0], pr[1]} {
-					if need[m] == nil {
-						need[m] = make(map[[2]int]bool)
+				for _, m := range [2]int{pr.A, pr.B} {
+					u := f.unionOf(m)
+					if need[u] == nil {
+						need[u] = make(map[int64]int)
 					}
-					need[m][key] = true
+					off, n := f.extent(m, fi, ci)
+					need[u][off] = n
 				}
 			}
 		}
 	}
-	st.unions = make([]memberUnion, len(st.members))
-	for m := range st.members {
-		if len(need[m]) == 0 {
+	f.unions = make([]union, len(need))
+	for ui, extents := range need {
+		if len(extents) == 0 {
 			continue
 		}
-		u := &st.unions[m]
-		u.entries = make([]unionChunk, 0, len(need[m]))
-		for key := range need[m] {
-			fi, ci := key[0], key[1]
-			tree := st.metas[m].Fields[fi].Tree
-			off, n := tree.ChunkRange(ci)
-			u.entries = append(u.entries, unionChunk{field: fi, chunk: ci, off: off, n: n})
-		}
-		sort.Slice(u.entries, func(i, j int) bool {
-			if u.entries[i].field != u.entries[j].field {
-				return u.entries[i].field < u.entries[j].field
-			}
-			return u.entries[i].chunk < u.entries[j].chunk
-		})
+		offs := make([]int64, 0, len(extents))
 		var total int64
-		for _, e := range u.entries {
-			total += int64(e.n)
+		for off, n := range extents {
+			offs = append(offs, off)
+			total += int64(n)
 		}
+		sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
+		u := &f.unions[ui]
 		u.buf = make([]byte, total)
-		u.pos = make(map[[2]int]int64, len(u.entries))
-		u.reqs = make([]aio.ReadReq, 0, len(u.entries))
+		u.pos = make(map[int64]int64, len(offs))
+		u.reqs = make([]aio.ReadReq, 0, len(offs))
 		var pos int64
-		for _, e := range u.entries {
-			base := st.readers[m].FieldFileOffset(e.field)
-			u.pos[[2]int{e.field, e.chunk}] = pos
-			u.reqs = append(u.reqs, aio.ReadReq{
-				Off: base + e.off, Len: e.n, Buf: u.buf[pos : pos+int64(e.n)], Tag: len(u.reqs),
-			})
-			pos += int64(e.n)
+		for _, off := range offs {
+			n := extents[off]
+			u.pos[off] = pos
+			u.reqs = append(u.reqs, aio.ReadReq{Off: off, Len: n, Buf: u.buf[pos : pos+int64(n)], Tag: len(u.reqs)})
+			pos += int64(n)
 		}
 	}
 	return nil
 }
 
-// readMember fetches one member's union solo, retrying Transient errors
-// under the options' policy and falling back to a fresh ring when the
-// shared ring reports closed. It returns the I/O virtual time including
-// backoff.
-func (st *groupState) readMember(ctx context.Context, m int) (time.Duration, error) {
-	u := &st.unions[m]
-	file := st.readers[m].File()
-	var io time.Duration
-	attempts := 0
-	backoff, err := st.opts.Retry.Do(ctx, func(attempt int) error {
-		attempts = attempt + 1
-		var rerr error
-		_, io, rerr = st.opts.Backend.ReadBatch(ctx, file, u.reqs)
-		return rerr
-	})
-	st.rep.ReadRetries += attempts - 1
-	io += backoff
-	if err != nil && errors.Is(err, aio.ErrRingClosed) {
-		leg := aio.Legacy{}
-		var lio time.Duration
-		_, lio, err = leg.ReadBatch(ctx, file, u.reqs)
-		io += lio
-		if err == nil {
-			st.rep.RingFallbacks++
-		}
-	}
-	return io, err
-}
-
-// stepSharedVerify runs the shared stage 2: each member's union is fetched
-// with one batched read (consecutive members paired through the backend's
-// overlapped pair path), and each pair is verified element-wise from the
-// cached union buffers as soon as both of its members have landed.
+// stepSharedVerify runs the shared-union executor's stage 2: each union is
+// fetched with one batched read (consecutive unions paired through the
+// backend's overlapped pair path), and each pair is verified element-wise
+// from the union buffers as soon as both of its members have landed.
 //
 // Reads climb the degradation ladder: Transient errors retry with backoff
-// on the virtual clock, a failed paired read retries each member solo, a
-// closed shared ring falls back to a fresh ring, and — with Options.Degrade
-// set — a member whose union still cannot be read drops to a metadata-only
-// verdict for every pair it touches instead of failing the plan.
-func (st *groupState) stepSharedVerify(ctx context.Context, x *engine.Exec) error {
+// on the virtual clock, a failed paired read retries each union solo, a
+// closed shared ring falls back to a fresh ring, and — with
+// Options.Degrade set — a union that still cannot be read drops every
+// pair it touches to a metadata-only verdict instead of failing the plan.
+// Pruned chunks keep their proven verdict and are never counted
+// Unverified.
+func (f *Front) stepSharedVerify(ctx context.Context, x *engine.Exec) error {
 	sw := metrics.NewStopwatch()
-	pairRd, _ := st.opts.Backend.(aio.PairReader)
-
-	// Members that need reading, in index order.
+	pairRd, _ := f.opts.Backend.(aio.PairReader)
 	var toRead []int
-	for m := range st.unions {
-		if len(st.unions[m].reqs) > 0 {
-			toRead = append(toRead, m)
+	for ui := range f.unions {
+		if len(f.unions[ui].reqs) > 0 {
+			toRead = append(toRead, ui)
 		}
 	}
+	loaded := make([]bool, len(f.unions))
+	failed := make([]bool, len(f.unions))
+	compared := make([]bool, len(f.rep.Pairs))
+	vp := stream.NewVirtualPipeline(f.opts.Depth)
+	var bytesRead int64
+	retries := 0
 
-	hashers := make(map[errbound.DType]*errbound.Hasher)
-	loaded := make([]bool, len(st.members))
-	failed := make([]bool, len(st.members))
-	comparedPair := make([]bool, len(st.pairIdx))
-	vp := stream.NewVirtualPipeline(st.opts.Depth)
-
-	// compareReady verifies every not-yet-compared pair whose members are
-	// both loaded, returning the compute virtual time of the batch.
+	// compareReady verifies every not-yet-compared pair whose unions have
+	// both landed, returning the compute virtual time of the batch.
 	compareReady := func() (time.Duration, error) {
 		var comp time.Duration
-		for pi, pr := range st.pairIdx {
-			if comparedPair[pi] || !st.pairHasCands(pi) {
+		for pi, pr := range f.rep.Pairs {
+			if compared[pi] || !f.accs[pi].hasCands() || !loaded[f.unionOf(pr.A)] || !loaded[f.unionOf(pr.B)] {
 				continue
 			}
-			a, b := pr[0], pr[1]
-			if !loaded[a] || !loaded[b] {
-				continue
-			}
-			comparedPair[pi] = true
-			c, err := st.verifyPair(ctx, pi, hashers)
+			compared[pi] = true
+			c, err := f.verifyPair(ctx, pi)
 			if err != nil {
 				return comp, err
 			}
@@ -540,42 +298,44 @@ func (st *groupState) stepSharedVerify(ctx context.Context, x *engine.Exec) erro
 			return err
 		}
 		var io time.Duration
-		ma := toRead[bi]
-		mb := -1
-		if bi+1 < len(toRead) {
-			mb = toRead[bi+1]
-		}
-		if mb >= 0 && pairRd != nil {
-			ua, ub := &st.unions[ma], &st.unions[mb]
+		batch := toRead[bi:min(bi+2, len(toRead))]
+		if len(batch) == 2 && pairRd != nil {
+			ua, ub := &f.unions[batch[0]], &f.unions[batch[1]]
 			attempts := 0
-			backoff, err := st.opts.Retry.Do(ctx, func(attempt int) error {
+			backoff, err := f.opts.Retry.Do(ctx, func(attempt int) error {
 				attempts = attempt + 1
 				var rerr error
-				_, io, rerr = pairRd.ReadBatchPair(ctx,
-					st.readers[ma].File(), st.readers[mb].File(), ua.reqs, ub.reqs)
+				_, io, rerr = pairRd.ReadBatchPair(ctx, f.file(batch[0]), f.file(batch[1]), ua.reqs, ub.reqs)
 				return rerr
 			})
-			st.rep.ReadRetries += attempts - 1
+			retries += attempts - 1
 			io += backoff
 			if err == nil {
-				loaded[ma], loaded[mb] = true, true
-				st.rep.BytesRead += int64(len(ua.buf)) + int64(len(ub.buf))
+				loaded[batch[0]], loaded[batch[1]] = true, true
+				bytesRead += int64(len(ua.buf)) + int64(len(ub.buf))
 			}
 			// A failed paired read falls through to the solo rung below:
 			// one bad member must not take down both.
 		}
-		for _, m := range []int{ma, mb} {
-			if m < 0 || loaded[m] {
+		for _, ui := range batch {
+			if loaded[ui] {
 				continue
 			}
-			mio, err := st.readMember(ctx, m)
-			io += mio
+			u := &f.unions[ui]
+			rd, err := stream.ReadBatch(ctx, f.opts.Retry, f.opts.Backend, func(b aio.Backend) (pfs.Cost, time.Duration, error) {
+				return b.ReadBatch(ctx, f.file(ui), u.reqs)
+			})
+			io += rd.IO
+			retries += rd.Retries
+			if rd.FellBack {
+				f.rep.RingFallbacks++
+			}
 			switch {
 			case err == nil:
-				loaded[m] = true
-				st.rep.BytesRead += int64(len(st.unions[m].buf))
-			case st.opts.Degrade && ctx.Err() == nil:
-				failed[m] = true
+				loaded[ui] = true
+				bytesRead += int64(len(u.buf))
+			case f.opts.Degrade && ctx.Err() == nil:
+				failed[ui] = true
 			default:
 				return fmt.Errorf("compare: group verification: %w", err)
 			}
@@ -586,184 +346,63 @@ func (st *groupState) stepSharedVerify(ctx context.Context, x *engine.Exec) erro
 		}
 		vp.Advance(io, comp)
 	}
-	// Pairs touching a member whose union never landed degrade to the
-	// metadata-only verdict: stage 1 proved which chunks could diverge;
-	// none of them were verified.
-	for pi, pr := range st.pairIdx {
-		if comparedPair[pi] || !st.pairHasCands(pi) {
+	// Pairs touching a union that never landed degrade to the metadata-only
+	// verdict: stage 1 proved which chunks could diverge; none of the
+	// remaining ones were verified.
+	for pi, pr := range f.rep.Pairs {
+		acc := f.accs[pi]
+		if compared[pi] || !failed[f.unionOf(pr.A)] && !failed[f.unionOf(pr.B)] {
 			continue
 		}
-		if failed[pr[0]] || failed[pr[1]] {
-			res := st.rep.Pairs[pi].Result
-			res.Degraded = true
-			res.UnverifiedChunks += res.CandidateChunks
+		for _, chunks := range acc.cands {
+			acc.unverified += len(chunks)
 		}
 	}
-	st.foldGroupRereads(x)
-	st.rep.PipelineVirtual = vp.Total()
-	st.rep.Breakdown.AddVirtual(metrics.PhaseCompareDirect, vp.Total())
-	st.rep.Breakdown.AddWall(metrics.PhaseCompareDirect, sw.Lap())
-	x.AddVirtual(vp.Total())
+	f.Charge(x, sw.Lap(), vp.Total(), bytesRead, retries)
 	return nil
 }
 
-// foldGroupRereads prices the integrity re-reads issued by verifyPair into
-// the report and the plan clock.
-func (st *groupState) foldGroupRereads(x *engine.Exec) {
-	if st.rereadCost == (pfs.Cost{}) {
-		return
-	}
-	st.rep.BytesRead += st.rereadCost.TotalBytes()
-	v := st.store.Model().SerialReadTime(st.rereadCost, st.store.Sharers())
-	st.rep.Breakdown.AddVirtual(metrics.PhaseRead, v)
-	x.AddVirtual(v)
-	st.rereadCost = pfs.Cost{}
-}
-
-// pairHasCands reports whether pair pi has any candidate chunks.
-func (st *groupState) pairHasCands(pi int) bool {
-	for _, chunks := range st.pairCands[pi] {
-		if len(chunks) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// verifyPair compares one pair's candidate chunks from the two members'
-// cached union buffers, filling the pair's Result, and returns the priced
-// compute time of its verification batch.
-func (st *groupState) verifyPair(ctx context.Context, pi int, hashers map[errbound.DType]*errbound.Hasher) (time.Duration, error) {
-	pr := st.pairIdx[pi]
-	a, b := pr[0], pr[1]
-	res := st.rep.Pairs[pi].Result
-	ua, ub := &st.unions[a], &st.unions[b]
+// verifyPair compares one pair's candidate chunks from the union buffers
+// into the pair's accumulator, and returns the priced compute time of its
+// verification batch.
+func (f *Front) verifyPair(ctx context.Context, pi int) (time.Duration, error) {
+	pr := f.rep.Pairs[pi]
+	acc := f.accs[pi]
+	ua, ub := &f.unions[f.unionOf(pr.A)], &f.unions[f.unionOf(pr.B)]
 	var pairBytes int64
-	comp := st.opts.Device.KernelLaunch
-	for fi, chunks := range st.pairCands[pi] {
+	comp := f.opts.Device.KernelLaunch
+	for fi, chunks := range acc.cands {
 		if len(chunks) == 0 {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			return comp, err
 		}
-		fm := st.metas[a].Fields[fi]
-		hasher := hashers[fm.DType]
-		if hasher == nil {
-			h, err := st.opts.hasherFor(fm.DType)
-			if err != nil {
-				return comp, err
-			}
-			hashers[fm.DType] = h
-			hasher = h
+		fm := f.metas[pr.A].Fields[fi]
+		h, err := f.hasher(fm.DType)
+		if err != nil {
+			return comp, err
 		}
-		tree := fm.Tree
-		eltSize := int64(fm.DType.Size())
-		chunkElems := int64(tree.ChunkSize()) / eltSize
-		var indices []int64
-		changed := 0
+		chunkElems := int64(fm.Tree.ChunkSize()) / int64(fm.DType.Size())
 		for _, ci := range chunks {
-			key := [2]int{fi, ci}
-			_, n := tree.ChunkRange(ci)
-			pa := ua.pos[key]
-			pb := ub.pos[key]
-			da := ua.buf[pa : pa+int64(n)]
-			db := ub.buf[pb : pb+int64(n)]
-			if st.opts.Degrade {
-				// Integrity rung: each side's union bytes must re-hash to
-				// that member's stored leaf. An unverifiable side excludes
-				// the chunk from diffing — untrusted bytes must produce
-				// neither a false divergence nor a false match.
-				if !st.chunkGood(a, fi, ci, hasher) || !st.chunkGood(b, fi, ci, hasher) {
-					res.Degraded = true
-					res.UnverifiedChunks++
-					pairBytes += int64(n)
-					continue
-				}
+			offA, n := f.extent(pr.A, fi, ci)
+			offB, _ := f.extent(pr.B, fi, ci)
+			da := ua.buf[ua.pos[offA]:][:n]
+			db := ub.buf[ub.pos[offB]:][:n]
+			pairBytes += int64(n)
+			if f.opts.Degrade && (!f.verifyLeaf(pr.A, fi, ci, h, da) || !f.verifyLeaf(pr.B, fi, ci, h, db)) {
+				// An unverifiable side excludes the chunk from diffing.
+				acc.unverified++
+				continue
 			}
-			idx, _, err := hasher.CompareSlices(nil, da, db)
+			idx, _, err := h.CompareSlices(nil, da, db)
 			if err != nil {
 				return comp, err
 			}
-			if st.diffMode && st.opts.Memo != nil {
-				st.opts.Memo.insert(st.mans[a].Fields[fi].Digests[ci],
-					st.mans[b].Fields[fi].Digests[ci], fm.DType, idx)
-			}
-			if len(idx) > 0 {
-				changed++
-				base := int64(ci) * chunkElems
-				for _, e := range idx {
-					indices = append(indices, base+e)
-				}
-			}
-			pairBytes += int64(n)
-		}
-		res.ChangedChunks += changed
-		if len(indices) > 0 {
-			sort.Slice(indices, func(i, j int) bool { return indices[i] < indices[j] })
-			res.Diffs = append(res.Diffs, FieldDiff{Field: fm.Name, Indices: indices})
-			res.DiffCount += int64(len(indices))
+			f.memoize(pi, fi, ci, idx)
+			acc.add(fi, ci, int64(ci)*chunkElems, idx)
 		}
 	}
-	comp += st.opts.Device.TransferTime(2*pairBytes) + st.opts.Device.CompareRateTime(pairBytes)
+	comp += f.opts.Device.TransferTime(2*pairBytes) + f.opts.Device.CompareRateTime(pairBytes)
 	return comp, nil
-}
-
-// chunkGood verifies one member's cached union bytes for a (field, chunk)
-// against that member's leaf hash, re-reading the chunk once into the
-// union buffer on mismatch (an in-flight flip re-reads clean and every
-// pair sharing the chunk sees the recovered bytes; media corruption
-// repeats). Verdicts are cached so shared chunks are checked once.
-func (st *groupState) chunkGood(m, fi, ci int, hasher *errbound.Hasher) bool {
-	if st.chunkOK == nil {
-		st.chunkOK = make([]map[[2]int]int8, len(st.members))
-	}
-	if st.chunkOK[m] == nil {
-		st.chunkOK[m] = make(map[[2]int]int8)
-	}
-	key := [2]int{fi, ci}
-	if v := st.chunkOK[m][key]; v != 0 {
-		return v == 1
-	}
-	tree := st.metas[m].Fields[fi].Tree
-	want := tree.Leaf(ci)
-	off, n := tree.ChunkRange(ci)
-	u := &st.unions[m]
-	pos := u.pos[key]
-	data := u.buf[pos : pos+int64(n)]
-	ok := false
-	if got, err := hasher.HashChunk(data); err == nil && got == want {
-		ok = true
-	} else {
-		// Re-read from the chunk's home: the member's container file, or
-		// its extent in the shared pack in differential mode.
-		file, base := (*pfs.File)(nil), int64(0)
-		if st.diffMode {
-			file, base = st.pack, st.mans[m].Fields[fi].Locs[ci].Off-off
-		} else {
-			file, base = st.readers[m].File(), st.readers[m].FieldFileOffset(fi)
-		}
-		nr, cost, rerr := file.ReadAt(data, base+off)
-		st.rereads++
-		st.rereadCost.Add(cost)
-		if rerr == nil && nr == n {
-			if got, herr := hasher.HashChunk(data); herr == nil && got == want {
-				ok = true
-			}
-		}
-	}
-	if ok {
-		st.chunkOK[m][key] = 1
-	} else {
-		st.chunkOK[m][key] = 2
-	}
-	return ok
-}
-
-// stepGroupReport finalizes store-level I/O accounting.
-func (st *groupState) stepGroupReport(ctx context.Context, x *engine.Exec) error {
-	ops, bytes := st.store.ReadStats()
-	st.rep.ReadOps = ops - st.startOps
-	st.rep.ReadBytes = bytes - st.startBytes
-	return nil
 }

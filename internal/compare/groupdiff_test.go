@@ -181,3 +181,31 @@ func TestGroupCompareDiffAllPairs(t *testing.T) {
 		assertSameDiffs(t, diffsToMap(solo.Diffs), diffsToMap(pr.Result.Diffs), pr.NameA+"/"+pr.NameB)
 	}
 }
+
+// TestGroupPairRootsMatchMembers: every pair Result carries the combined
+// Merkle roots of the two members it compares, on both chunk sources.
+func TestGroupPairRootsMatchMembers(t *testing.T) {
+	opts := baseOpts(1e-5, 4<<10)
+	env, names := threeRunDiffEnv(t, opts)
+	rep, err := GroupCompareDiff(context.Background(), env.store, env.cs, names[0], names[1:], TopologyAllPairs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := []*GroupReport{rep}
+	sources, _ := chunkSources(t, opts, 78)
+	for _, src := range sources {
+		rep, err := src.group(opts)
+		if err != nil {
+			t.Fatalf("%s: %v", src.name, err)
+		}
+		reps = append(reps, rep)
+	}
+	for _, rep := range reps {
+		for pi, pr := range rep.Pairs {
+			if pr.Result.RootA != rep.MemberRoots[pr.A] || pr.Result.RootB != rep.MemberRoots[pr.B] {
+				t.Errorf("%s pair %d: roots (%v, %v), members (%v, %v)", pr.Result.Method, pi,
+					pr.Result.RootA, pr.Result.RootB, rep.MemberRoots[pr.A], rep.MemberRoots[pr.B])
+			}
+		}
+	}
+}

@@ -2,17 +2,16 @@ package compare
 
 import (
 	"context"
+	"fmt"
+	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/engine"
+	"repro/internal/errbound"
 	"repro/internal/metrics"
 	"repro/internal/pfs"
 	"repro/internal/stream"
 )
-
-// deserializeBytesPerSec prices metadata parsing (a memory-bandwidth-bound
-// scan) on the virtual clock.
-const deserializeBytesPerSec = 5e9
 
 // CompareMerkle runs the paper's two-stage comparison of one checkpoint
 // pair using previously saved metadata:
@@ -29,49 +28,119 @@ const deserializeBytesPerSec = 5e9
 // and the streaming pipeline, and the cleanup chain closes both readers on
 // every exit path.
 func CompareMerkle(ctx context.Context, store *pfs.Store, nameA, nameB string, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
+	opts, err := opts.Normalize()
+	if err != nil {
 		return nil, err
 	}
-	st := newPairState(store, nameA, nameB, opts, "merkle")
-	var p engine.Plan
-	p.Retry = opts.Retry
-	open := p.Add(engine.StepSetup, "open-checkpoints", st.stepOpenPair)
-	load := p.Add(engine.StepLoadMetadata, "load-metadata", st.stepLoadMetadata, open)
-	diff := p.Add(engine.StepTreeDiff, "tree-diff", st.stepTreeDiff, load)
-	coal := p.Add(engine.StepCoalesce, "assemble-batches", st.stepAssemblePairs, diff)
-	verify := p.Add(engine.StepStreamVerify, "stream-verify", st.stepStreamVerify, coal)
-	p.Add(engine.StepReport, "report", st.stepReportMerkle, verify)
-	return st.runPlan(ctx, &p)
+	f := newPairFront(store, nil, nameA, nameB, opts, "merkle")
+	return pairResult(f.run(ctx, "open-checkpoints", true, f.streamSteps("assemble-batches", f.stepAssemble)...))
 }
 
-// stepReportMerkle assembles the Merkle result: changed-chunk counts,
-// per-field divergence lists, and element totals over selected fields.
-func (st *pairState) stepReportMerkle(ctx context.Context, x *engine.Exec) error {
-	// Sum over the changed map, not the surviving candidate list: in
-	// differential mode CAS pruning can replay a memoized divergence for a
-	// field whose every candidate chunk was pruned from stage 2.
-	for fi := range st.changed {
-		st.res.ChangedChunks += len(st.changed[fi])
+// chunkRef maps one streamed chunk pair back to its field and element
+// base. chunk is the Merkle chunk index, or -1 for the direct sweep
+// (which has no chunk notion).
+type chunkRef struct {
+	field    int
+	chunk    int
+	baseElem int64
+	hasher   *errbound.Hasher
+}
+
+// streamSteps are the stream-pipeline executor's steps: plan builds the
+// chunk-pair list, then the overlapped read+compare pipeline verifies it.
+func (f *Front) streamSteps(planLabel string, plan engine.StepFunc) []planStep {
+	return []planStep{
+		{engine.StepCoalesce, planLabel, plan},
+		{engine.StepStreamVerify, "stream-verify", f.stepStreamVerify},
 	}
-	for _, fm := range st.ma.Fields {
-		if !st.selected(fm.Name) {
+}
+
+// stepAssemble turns the pair's candidate chunks of every field into one
+// batched stage-2 read plan, so scattered reads amortize the queue latency
+// once instead of once per field (byte-level coalescing then happens in
+// the aio backend).
+func (f *Front) stepAssemble(ctx context.Context, x *engine.Exec) error {
+	for fi, chunks := range f.accs[0].cands {
+		if len(chunks) == 0 {
 			continue
 		}
-		st.res.TotalElements += fm.Tree.DataLen() / int64(fm.DType.Size())
+		fm := f.metas[0].Fields[fi]
+		h, err := f.hasher(fm.DType)
+		if err != nil {
+			return err
+		}
+		chunkElems := int64(fm.Tree.ChunkSize()) / int64(fm.DType.Size())
+		for _, ci := range chunks {
+			offA, n := f.extent(0, fi, ci)
+			offB, _ := f.extent(1, fi, ci)
+			f.refs = append(f.refs, chunkRef{field: fi, chunk: ci, baseElem: int64(ci) * chunkElems, hasher: h})
+			f.chunks = append(f.chunks, stream.ChunkPair{Index: len(f.chunks), OffA: offA, OffB: offB, Len: n})
+		}
 	}
-	st.sortedFieldDiffs(func(fi int) string { return st.ma.Fields[fi].Name }, len(st.ma.Fields))
 	return nil
 }
 
-// addPipeline folds a stage-2 pipeline's virtual cost into the breakdown.
-// Following the paper's timer structure (Fig. 6: "for small error bounds,
-// we need to load more data which is why the verification time is
-// dominant"), the verification phase owns its overlapped data loading:
-// the whole pipeline time is charged to CompareDirect, while PhaseRead
-// holds only the metadata reads.
-func addPipeline(b *metrics.Breakdown, stats stream.Stats) {
-	b.AddVirtual(metrics.PhaseCompareDirect, stats.PipelineVirtual)
+// stepStreamVerify runs stage 2 through the overlapped read+compare
+// pipeline. With Options.Degrade set, a Merkle-path pair whose stream
+// fails (after retries and the ring fallback) degrades to a metadata-only
+// verdict: diffs already proven stay, the remaining chunks are counted
+// Unverified, and the result is marked Degraded rather than failing the
+// plan.
+func (f *Front) stepStreamVerify(ctx context.Context, x *engine.Exec) error {
+	sw := metrics.NewStopwatch()
+	acc := f.accs[0]
+	stats, err := stream.Run(ctx, f.file(0), f.file(1), f.chunks, stream.Config{
+		Backend:    f.opts.Backend,
+		Device:     f.opts.Device,
+		SliceBytes: f.opts.SliceBytes,
+		Depth:      f.opts.Depth,
+		Retry:      f.opts.Retry,
+	}, f.verifyChunk)
+	f.rep.RingFallbacks += stats.RingFallbacks
+	f.Charge(x, sw.Lap(), stats.PipelineVirtual, stats.BytesRead, stats.ReadRetries)
+	if err != nil {
+		// Degradation applies only to the Merkle path: stage 1 already
+		// bounded what the missing chunks could hide. The direct sweep
+		// has no such net, and compute or cancellation errors are never
+		// degraded away.
+		if f.metas == nil {
+			return fmt.Errorf("compare: direct: %w", err)
+		}
+		if !f.opts.Degrade || f.computeErr || ctx.Err() != nil {
+			return fmt.Errorf("compare: verification: %w", err)
+		}
+		if missing := len(f.chunks) - acc.verified - acc.unverified; missing > 0 {
+			acc.unverified += missing
+		}
+	}
+	return nil
+}
+
+// verifyChunk is the stream pipeline's consumer callback: element-wise ε
+// comparison of one chunk pair, recording divergent indices into the
+// pair's accumulator.
+func (f *Front) verifyChunk(p stream.ChunkPair, a, b []byte) (time.Duration, error) {
+	ref := f.refs[p.Index]
+	acc := f.accs[0]
+	if f.opts.Degrade && ref.chunk >= 0 {
+		okA := f.verifyLeaf(0, ref.field, ref.chunk, ref.hasher, a)
+		okB := f.verifyLeaf(1, ref.field, ref.chunk, ref.hasher, b)
+		if !okA || !okB {
+			// Untrusted bytes must produce neither a false divergence nor
+			// a false match; the chunk still costs compare time.
+			acc.unverified++
+			return f.opts.Device.CompareRateTime(int64(len(a))), nil
+		}
+	}
+	idx, _, err := ref.hasher.CompareSlices(nil, a, b)
+	if err != nil {
+		f.computeErr = true
+		return 0, err
+	}
+	f.memoize(0, ref.field, ref.chunk, idx)
+	acc.verified++
+	acc.add(ref.field, ref.chunk, ref.baseElem, idx)
+	return f.opts.Device.CompareRateTime(int64(len(a))), nil
 }
 
 // BuildAndSave builds metadata for a checkpoint already on the store and

@@ -197,16 +197,3 @@ func (o Options) Normalize() (Options, error) {
 	}
 	return o, nil
 }
-
-// HasherFor builds the error-bounded hasher for a field dtype using the
-// options' ε. Exported for out-of-package planners (internal/shard).
-func (o Options) HasherFor(dtype errbound.DType) (*errbound.Hasher, error) {
-	return o.hasherFor(dtype)
-}
-
-// FieldFilter resolves the Fields option against the available field
-// names: it returns a predicate and an error naming any unknown field.
-// Exported for out-of-package planners (internal/shard).
-func (o Options) FieldFilter(available []string) (func(string) bool, error) {
-	return o.fieldFilter(available)
-}

@@ -164,17 +164,10 @@ type pairFiles struct {
 	fA, fB *pfs.File
 }
 
-// foldState accumulates one (pair, field)'s verdicts.
-type foldState struct {
-	diffs      []int64
-	changed    int64
-	unverified int64
-}
-
-// run is the shared coordinator/worker executor behind Compare and
-// GroupCompare: the planners fill units and files, execute fans them out
-// over M worker goroutines connected by an mpi communicator, and the
-// fold accessors hand the merged verdicts back to the report steps.
+// run is the coordinator/worker executor behind Compare and GroupCompare:
+// partition fills units and files from compare's front end, execute fans
+// them out over M worker goroutines connected by an mpi communicator and
+// folds the merged verdicts back into the front end.
 type run struct {
 	store *pfs.Store
 	cfg   Config
@@ -196,25 +189,15 @@ type run struct {
 
 	workers []workerState
 
-	// folded state, written by the coordinator's receiver goroutines
-	// (one per worker, disjoint slices) and read after the join.
-	mu        sync.Mutex
-	folds     map[[2]int64]*foldState // (pair, field) -> fold
-	readCost  pfs.Cost
+	// folded after the join: stage-2 data bytes and re-issued reads.
 	bytesRead int64
 	retries   int64
-	rereads   int64
 
 	stats Stats
 }
 
 func newRun(store *pfs.Store, cfg Config, opts compare.Options) *run {
-	return &run{
-		store: store,
-		cfg:   cfg,
-		opts:  opts,
-		folds: make(map[[2]int64]*foldState),
-	}
+	return &run{store: store, cfg: cfg, opts: opts}
 }
 
 // addUnits partitions one (pair, field)'s candidate chunks into subtree
@@ -339,9 +322,9 @@ func max64(a, b int64) int64 {
 const shardTag = 1
 
 // execute fans the assigned units out over the workers, folds the
-// verdict stream, and fills Stats. The per-target contention table
-// installed by assign is cleared on every exit path.
-func (r *run) execute(ctx context.Context) error {
+// verdict stream into the front end, and fills Stats. The per-target
+// contention table installed by assign is cleared on every exit path.
+func (r *run) execute(ctx context.Context, f *compare.Front) error {
 	defer r.store.SetTargetSharers(nil)
 	m := r.cfg.Workers
 	r.workers = make([]workerState, m)
@@ -457,7 +440,7 @@ func (r *run) execute(ctx context.Context) error {
 	// Hierarchical fold: verdicts arrive per worker in FIFO order, but
 	// which worker ran a unit is schedule-dependent; sorting by unit
 	// sequence makes the fold order — and through it every accumulated
-	// slice — deterministic before the report steps sort per-field
+	// slice — deterministic before the report step sorts per-field
 	// indices ascending.
 	all := coordVerdicts
 	for w := range verdicts {
@@ -465,7 +448,7 @@ func (r *run) execute(ctx context.Context) error {
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
 	for _, v := range all {
-		r.foldVerdict(v)
+		r.foldVerdict(f, v)
 	}
 
 	r.stats.PerWorker = make([]WorkerStats, m)
@@ -505,32 +488,10 @@ func (r *run) execute(ctx context.Context) error {
 	return nil
 }
 
-// foldVerdict merges one unit's verdict into the per-(pair, field)
-// accumulator and the run-level accounting.
-func (r *run) foldVerdict(v *VerdictMsg) {
-	key := [2]int64{v.Pair, v.Field}
-	f := r.folds[key]
-	if f == nil {
-		f = &foldState{}
-		r.folds[key] = f
-	}
-	f.diffs = append(f.diffs, v.Diffs...)
-	f.changed += v.Changed
-	f.unverified += v.Unverified
-	r.readCost.Add(pfs.Cost{Ops: int(v.Ops), CachedOps: int(v.CachedOps), Bytes: v.Bytes, CachedBytes: v.CachedBytes})
+// foldVerdict lands one unit's verdict in its pair's accumulator and
+// the run-level accounting.
+func (r *run) foldVerdict(f *compare.Front, v *VerdictMsg) {
+	f.Record(int(v.Pair), int(v.Field), v.Diffs, int(v.Changed), int(v.Unverified))
 	r.bytesRead += v.BytesRead
 	r.retries += v.Retries
-	r.rereads += v.Rereads
-}
-
-// fold returns the accumulated state for one (pair, field), or nil.
-func (r *run) fold(pair, field int) *foldState {
-	return r.folds[[2]int64{int64(pair), int64(field)}]
-}
-
-// sortedDiffs returns one (pair, field)'s merged divergence indices,
-// ascending — the hierarchical reduction's leaf-to-root contract.
-func (f *foldState) sortedDiffs() []int64 {
-	sort.Slice(f.diffs, func(i, j int) bool { return f.diffs[i] < f.diffs[j] })
-	return f.diffs
 }

@@ -608,3 +608,21 @@ func TestCompareDeterminism(t *testing.T) {
 		t.Error("two sharded runs of the same comparison disagree")
 	}
 }
+
+// TestGroupPairRoots: each sharded pair Result carries the combined roots
+// of the two members it compares.
+func TestGroupPairRoots(t *testing.T) {
+	opts := testOpts()
+	e := newEnv(t, 16<<10, opts, perturbUniform)
+	rep, _, err := GroupCompare(context.Background(), e.store, e.nameA, []string{e.nameB},
+		compare.TopologyStar, Config{Workers: 2}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pi, pr := range rep.Pairs {
+		if pr.Result.RootA != rep.MemberRoots[pr.A] || pr.Result.RootB != rep.MemberRoots[pr.B] {
+			t.Errorf("pair %d: roots (%v, %v), members (%v, %v)", pi,
+				pr.Result.RootA, pr.Result.RootB, rep.MemberRoots[pr.A], rep.MemberRoots[pr.B])
+		}
+	}
+}

@@ -140,7 +140,7 @@ func (r *run) executeUnit(ctx context.Context, ws *workerState, u *UnitMsg) (*Ve
 	dtype := errbound.DType(u.DType)
 	hasher := ws.hashers[dtype]
 	if hasher == nil {
-		h, err := r.opts.HasherFor(dtype)
+		h, err := errbound.NewHasher(dtype, r.opts.Epsilon)
 		if err != nil {
 			return nil, err
 		}

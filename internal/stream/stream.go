@@ -114,15 +114,12 @@ type slice struct {
 	pairs    []ChunkPair
 	bufA     []byte
 	bufB     []byte
-	io       time.Duration
-	cost     pfs.Cost
+	rd       BatchRead
 	err      error
 	reqsA    []aio.ReadReq
 	reqsB    []aio.ReadReq
 	reqsAB   []aio.ReadReq // merged batch for the same-file (shared pack) path
 	byteSize int64
-	retries  int // batch reads re-issued under the retry policy
-	fellBack bool // slice was read via the Legacy fallback
 }
 
 // reset clears the slice for reuse, keeping every backing array.
@@ -132,11 +129,8 @@ func (s *slice) reset() {
 	s.reqsB = s.reqsB[:0]
 	s.reqsAB = s.reqsAB[:0]
 	s.byteSize = 0
-	s.io = 0
-	s.cost = pfs.Cost{}
+	s.rd = BatchRead{}
 	s.err = nil
-	s.retries = 0
-	s.fellBack = false
 }
 
 // Run streams all chunk pairs through the pipeline. Cancellation is
@@ -174,7 +168,6 @@ func Run(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, cfg Config, c
 	for i := 0; i < cfg.Depth; i++ {
 		pool <- &slice{}
 	}
-	pair, _ := cfg.Backend.(aio.PairReader)
 
 	// Producer: partitions pairs into ~SliceBytes slices lazily, filling
 	// each into a pooled buffer set.
@@ -202,7 +195,7 @@ func Run(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, cfg Config, c
 					break
 				}
 			}
-			s.fill(ctx, fA, fB, cfg, pair)
+			s.fill(ctx, fA, fB, cfg)
 			select {
 			case filled <- s:
 			case <-done:
@@ -227,11 +220,11 @@ func Run(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, cfg Config, c
 			return stats, s.err
 		}
 		stats.Slices++
-		stats.ReadCost.Add(s.cost)
+		stats.ReadCost.Add(s.rd.Cost)
 		stats.BytesRead += 2 * s.byteSize
-		stats.IOVirtual += s.io
-		stats.ReadRetries += s.retries
-		if s.fellBack {
+		stats.IOVirtual += s.rd.IO
+		stats.ReadRetries += s.rd.Retries
+		if s.rd.FellBack {
 			stats.RingFallbacks++
 		}
 
@@ -251,7 +244,7 @@ func Run(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, cfg Config, c
 			comp += kv
 		}
 		stats.ComputeVirtual += comp
-		vp.Advance(s.io, comp)
+		vp.Advance(s.rd.IO, comp)
 		stats.PipelineVirtual = vp.Total()
 		pool <- s // recycle the buffer set
 	}
@@ -259,11 +252,10 @@ func Run(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, cfg Config, c
 }
 
 // fill reads the slice's chunks from both files through the backend,
-// reusing the slice's buffers and request batches. Reads are governed by
-// cfg.Retry (batch re-issue on Transient errors, backoff charged to the
-// slice's I/O time), and a closed shared ring degrades to a one-off
-// fresh-ring aio.Legacy read of the same requests.
-func (s *slice) fill(ctx context.Context, fA, fB *pfs.File, cfg Config, pair aio.PairReader) {
+// reusing the slice's buffers and request batches, via ReadBatch: retried
+// on Transient errors, with a closed shared ring degrading to a one-off
+// fresh-ring read of the same requests.
+func (s *slice) fill(ctx context.Context, fA, fB *pfs.File, cfg Config) {
 	n := s.byteSize
 	if int64(cap(s.bufA)) < n {
 		s.bufA = make([]byte, n)
@@ -286,76 +278,74 @@ func (s *slice) fill(ctx context.Context, fA, fB *pfs.File, cfg Config, pair aio
 		// the pack — and the whole slice costs a single batched submission.
 		s.reqsAB = append(append(s.reqsAB, s.reqsA...), s.reqsB...)
 	}
-	read := func() error {
+	s.rd, s.err = ReadBatch(ctx, cfg.Retry, cfg.Backend, func(b aio.Backend) (pfs.Cost, time.Duration, error) {
 		if sameFile {
-			cost, t, err := cfg.Backend.ReadBatch(ctx, fA, s.reqsAB)
+			cost, t, err := b.ReadBatch(ctx, fA, s.reqsAB)
 			if err != nil {
-				return fmt.Errorf("stream: read shared pack: %w", err)
+				return cost, t, fmt.Errorf("stream: read shared pack: %w", err)
 			}
-			s.cost = cost
-			s.io = t
-			return nil
+			return cost, t, nil
 		}
-		if pair != nil {
+		if pair, ok := b.(aio.PairReader); ok {
 			cost, t, err := pair.ReadBatchPair(ctx, fA, fB, s.reqsA, s.reqsB)
 			if err != nil {
-				return fmt.Errorf("stream: read runs A+B: %w", err)
+				return cost, t, fmt.Errorf("stream: read runs A+B: %w", err)
 			}
-			s.cost = cost
-			s.io = t
-			return nil
+			return cost, t, nil
 		}
-		costA, tA, err := cfg.Backend.ReadBatch(ctx, fA, s.reqsA)
+		// No overlapped pair path (the fresh-ring fallback among them):
+		// the run-A and run-B batches serialize.
+		costA, tA, err := b.ReadBatch(ctx, fA, s.reqsA)
 		if err != nil {
-			return fmt.Errorf("stream: read run A: %w", err)
+			return costA, tA, fmt.Errorf("stream: read run A: %w", err)
 		}
-		costB, tB, err := cfg.Backend.ReadBatch(ctx, fB, s.reqsB)
+		costB, tB, err := b.ReadBatch(ctx, fB, s.reqsB)
 		if err != nil {
-			return fmt.Errorf("stream: read run B: %w", err)
+			return costB, tB, fmt.Errorf("stream: read run B: %w", err)
 		}
-		s.cost = costA
-		s.cost.Add(costB)
-		s.io = tA + tB
-		return nil
-	}
-	var attempts int
-	backoff, err := cfg.Retry.Do(ctx, func(attempt int) error {
-		attempts = attempt + 1
-		return read()
+		costA.Add(costB)
+		return costA, tA + tB, nil
 	})
-	s.retries = attempts - 1
-	s.io += backoff
+}
+
+// BatchRead is the outcome of one ReadBatch call.
+type BatchRead struct {
+	// Cost is the storage cost of the read that succeeded.
+	Cost pfs.Cost
+	// IO is the read's virtual time, including retry backoff and a
+	// fallback read.
+	IO time.Duration
+	// Retries counts reads re-issued under the retry policy.
+	Retries int
+	// FellBack reports that the fresh-ring fallback served the read.
+	FellBack bool
+}
+
+// ReadBatch issues read against backend b under retry policy p, charging
+// the backoff to the returned I/O time. When the shared ring reports
+// closed, it issues read once more against a fresh aio.Legacy ring — the
+// first rung of the degradation ladder — instead of failing the
+// comparison. read issues one scattered batch (or batch pair) against the
+// backend it is given. The pipeline's slices and the group union reads
+// both go through here.
+func ReadBatch(ctx context.Context, p retry.Policy, b aio.Backend, read func(aio.Backend) (pfs.Cost, time.Duration, error)) (BatchRead, error) {
+	var r BatchRead
+	attempts := 0
+	backoff, err := p.Do(ctx, func(attempt int) error {
+		attempts = attempt + 1
+		var rerr error
+		r.Cost, r.IO, rerr = read(b)
+		return rerr
+	})
+	r.Retries = attempts - 1
+	r.IO += backoff
 	if err != nil && errors.Is(err, aio.ErrRingClosed) {
-		// First rung of the degradation ladder: the shared ring is gone,
-		// so pay the fresh-ring price for this slice instead of failing
-		// the comparison. Run-A and run-B batches serialize here (one
-		// merged batch when both sides read the same file).
-		leg := aio.Legacy{}
-		if sameFile {
-			cost, t, errL := leg.ReadBatch(ctx, fA, s.reqsAB)
-			if errL == nil {
-				s.cost = cost
-				s.io += t
-				s.fellBack = true
-				err = nil
-			}
-		} else {
-			costA, tA, errA := leg.ReadBatch(ctx, fA, s.reqsA)
-			if errA == nil {
-				var costB pfs.Cost
-				var tB time.Duration
-				costB, tB, errA = leg.ReadBatch(ctx, fB, s.reqsB)
-				if errA == nil {
-					s.cost = costA
-					s.cost.Add(costB)
-					s.io += tA + tB
-					s.fellBack = true
-					err = nil
-				}
-			}
-		}
+		var io time.Duration
+		r.Cost, io, err = read(aio.Legacy{})
+		r.IO += io
+		r.FellBack = err == nil
 	}
-	s.err = err
+	return r, err
 }
 
 // VirtualPipeline accumulates the virtual-clock completion time of a
