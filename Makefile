@@ -19,8 +19,11 @@ vet:
 # lint runs the full project static-analysis suite — tier 1 (syntactic)
 # plus tier 2 (go/types-backed dataflow: detflow, epsflow) — and then
 # audits //lint:ignore directives for staleness. See internal/lint and
-# `go run ./cmd/reprovet -list`.
+# `go run ./cmd/reprovet -list`. It first fails on any file gofmt would
+# reformat.
+GOFMT ?= gofmt
 lint:
+	@unformatted=$$($(GOFMT) -l .) && [ -z "$$unformatted" ] || { echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; }
 	$(GO) run ./cmd/reprovet ./...
 	$(GO) run ./cmd/reprovet -audit-ignores ./...
 

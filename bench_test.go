@@ -45,7 +45,9 @@ func newBenchPair(b *testing.B, elems int, eps float64, chunk int) *benchPair {
 	for i, n := range []string{"x", "vx", "phi"} {
 		fields[i] = ckpt.FieldSpec{Name: n, DType: errbound.Float32, Count: int64(elems)}
 	}
-	opts := compare.Options{Epsilon: eps, ChunkSize: chunk, Exec: device.NewParallel(2)}
+	pool := device.NewPool(2)
+	b.Cleanup(pool.Close)
+	opts := compare.Options{Epsilon: eps, ChunkSize: chunk, Exec: pool}
 	bp := &benchPair{
 		store: store, fields: fields, dataA: dataA, dataB: dataB, opts: opts,
 		nameA: ckpt.Name("bA", 0, 0), nameB: ckpt.Name("bB", 0, 0),
@@ -192,12 +194,14 @@ func BenchmarkFig8TreeBuild(b *testing.B) {
 	const elems = 1 << 19
 	fields := []ckpt.FieldSpec{{Name: "x", DType: errbound.Float32, Count: elems}}
 	data := [][]byte{synth.FieldF32(elems, 3)}
+	pool := device.NewPool(0)
+	defer pool.Close()
 	for _, cfg := range []struct {
 		name string
 		opts compare.Options
 	}{
 		{"CPU", compare.Options{Epsilon: 1e-7, ChunkSize: 4 << 10, Exec: device.Serial{}, Device: device.CPUModel()}},
-		{"GPU", compare.Options{Epsilon: 1e-7, ChunkSize: 4 << 10, Exec: device.NewParallel(0), Device: device.GPUModel()}},
+		{"GPU", compare.Options{Epsilon: 1e-7, ChunkSize: 4 << 10, Exec: pool, Device: device.GPUModel()}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.SetBytes(4 * elems)
@@ -300,7 +304,8 @@ func BenchmarkAblationBFSStart(b *testing.B) {
 		return tr
 	}
 	ta, tb := mk(false), mk(true)
-	exec := device.NewParallel(2)
+	exec := device.NewPool(2)
+	defer exec.Close()
 	for _, cfg := range []struct {
 		name  string
 		level int

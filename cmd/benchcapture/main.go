@@ -102,8 +102,8 @@ type Capture struct {
 	PackBytes      int64   `json:"pack_bytes_written"`
 	// ColdBytes is one differential capture into an empty CAS;
 	// FullIterBytes is one classic container of the same checkpoint.
-	ColdBytes     int64   `json:"cold_capture_bytes"`
-	FullIterBytes int64   `json:"full_capture_bytes_per_iter"`
+	ColdBytes     int64 `json:"cold_capture_bytes"`
+	FullIterBytes int64 `json:"full_capture_bytes_per_iter"`
 	// ColdOverheadFrac = ColdBytes/FullIterBytes - 1: the index +
 	// manifest + metadata premium the no-dedup-yet path pays.
 	ColdOverheadFrac float64 `json:"cold_overhead_frac"`
@@ -217,7 +217,9 @@ func measureAll(smoke bool) (*Report, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	opts := compare.Options{Epsilon: eps, ChunkSize: chunk, Exec: device.NewParallel(runtime.GOMAXPROCS(0))}
+	pool := device.NewPool(0)
+	defer pool.Close()
+	opts := compare.Options{Epsilon: eps, ChunkSize: chunk, Exec: pool}
 
 	for _, lv := range levels {
 		res, err := measureLevel(ctx, filepath.Join(dir, lv.name), lv.name, lv.div, lv.churn, elems, nFields, iters, opts)

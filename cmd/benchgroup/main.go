@@ -183,7 +183,9 @@ func measureAll(smoke bool) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := compare.Options{Epsilon: eps, ChunkSize: chunk, Exec: device.NewParallel(runtime.GOMAXPROCS(0))}
+	pool := device.NewPool(0)
+	defer pool.Close()
+	opts := compare.Options{Epsilon: eps, ChunkSize: chunk, Exec: pool}
 
 	maxRuns := groupSizes[len(groupSizes)-1]
 	baseline, members, err := buildRuns(ctx, store, maxRuns, elems, nFields, opts)

@@ -300,7 +300,9 @@ func measureSkewed(ctx context.Context, store *pfs.Store, smoke bool, rep *Repor
 		elems, chunk, subtree = 64<<10, 4<<10, 2
 		workerGrid = []int{2, 8}
 	}
-	opts := compare.Options{Epsilon: eps, ChunkSize: chunk, Exec: device.NewParallel(runtime.GOMAXPROCS(0))}
+	pool := device.NewPool(0)
+	defer pool.Close()
+	opts := compare.Options{Epsilon: eps, ChunkSize: chunk, Exec: pool}
 	// Divergence confined to the first quarter of field 0: a narrow band at
 	// the front of the global chunk-key space.
 	nameA, nameB, err := buildPair(store, "skew", elems, opts, func(fi int, data []byte) {
@@ -351,7 +353,9 @@ func measureUniform(ctx context.Context, store *pfs.Store, smoke bool, rep *Repo
 	}
 	const targets = 4
 	stripe := int64(subtree * chunk) // one work unit per stripe
-	opts := compare.Options{Epsilon: eps, ChunkSize: chunk, Exec: device.NewParallel(runtime.GOMAXPROCS(0))}
+	pool := device.NewPool(0)
+	defer pool.Close()
+	opts := compare.Options{Epsilon: eps, ChunkSize: chunk, Exec: pool}
 	nameA, nameB, err := buildPair(store, "unif", elems, opts, func(fi int, data []byte) {
 		for i := 0; i < elems; i += chunk / 4 {
 			bumpF32(data, i)

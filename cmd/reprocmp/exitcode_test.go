@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/compare"
 )
 
 const (
@@ -60,13 +61,13 @@ func corruptCheckpoint(t *testing.T, dir, name string) {
 }
 
 func TestVerdictPrecedence(t *testing.T) {
-	if err := verdict(true, true); !errors.Is(err, errDivergent) {
+	if err := verdict(compare.Outcome{Diverged: true, Degraded: true}); !errors.Is(err, errDivergent) {
 		t.Errorf("proven divergence must win over degradation, got %v", err)
 	}
-	if err := verdict(false, true); !errors.Is(err, errDegraded) {
+	if err := verdict(compare.Outcome{Diverged: false, Degraded: true}); !errors.Is(err, errDegraded) {
 		t.Errorf("degraded-only = %v, want errDegraded", err)
 	}
-	if err := verdict(false, false); err != nil {
+	if err := verdict(compare.Outcome{Diverged: false, Degraded: false}); err != nil {
 		t.Errorf("clean = %v, want nil", err)
 	}
 }

@@ -74,7 +74,7 @@ func toJSONResult(res *repro.Result, verbose bool) jsonResult {
 		WallMicros:      res.WallElapsed().Microseconds(),
 		VirtualMicros:   res.VirtualElapsed().Microseconds(),
 		ModelGBps:       res.ThroughputGBps(),
-		Degraded:        res.Degraded,
+		Degraded:        res.Outcome().Degraded,
 		Unverified:      res.UnverifiedChunks,
 		ReadRetries:     res.ReadRetries,
 		RingFallbacks:   res.RingFallbacks,
@@ -108,7 +108,7 @@ func toJSONHistory(report *repro.HistoryReport, method repro.Method, eps float64
 			Iteration: p.Iteration,
 			Rank:      p.Rank,
 			DiffCount: p.Result.DiffCount,
-			Degraded:  p.Result.Degraded,
+			Degraded:  p.Result.Outcome().Degraded,
 		})
 	}
 	if fd := report.FirstDivergence; fd != nil {

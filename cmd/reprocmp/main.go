@@ -40,6 +40,7 @@ import (
 
 	"repro"
 	"repro/internal/catalog"
+	"repro/internal/compare"
 )
 
 // errDivergent signals a successful comparison that found out-of-bound
@@ -70,12 +71,13 @@ func main() {
 	}
 }
 
-// verdict maps a completed comparison onto the exit-code contract.
-func verdict(diverged, degraded bool) error {
-	switch {
-	case diverged:
+// verdict maps a completed comparison's outcome onto the exit-code
+// contract through the one verdict rule (compare.VerdictOf).
+func verdict(o compare.Outcome) error {
+	switch compare.VerdictOf(o, nil) {
+	case compare.VerdictDivergent:
 		return errDivergent
-	case degraded:
+	case compare.VerdictDegraded:
 		return errDegraded
 	}
 	return nil
@@ -364,12 +366,12 @@ func cmdCompare(ctx context.Context, args []string, out io.Writer) error {
 	} else {
 		printResult(out, res, *verbose)
 	}
-	return verdict(res.DiffCount != 0, res.Degraded || res.UnverifiedChunks > 0)
+	return verdict(res.Outcome())
 }
 
 func printResult(out io.Writer, res *repro.Result, verbose bool) {
 	fmt.Fprintf(out, "method=%s diffs=%d elements=%d\n", res.Method, res.DiffCount, res.TotalElements)
-	if res.Degraded || res.UnverifiedChunks > 0 {
+	if res.Outcome().Degraded {
 		fmt.Fprintf(out, "DEGRADED: %d candidate chunks unverified (retries=%d, ring fallbacks=%d); absence of diffs is inconclusive\n",
 			res.UnverifiedChunks, res.ReadRetries, res.RingFallbacks)
 	}
@@ -473,7 +475,7 @@ func cmdShard(ctx context.Context, args []string, out io.Writer) error {
 				stats.WorkerFailures, stats.CoordinatorUnits)
 		}
 	}
-	return verdict(res.DiffCount != 0, res.Degraded || res.UnverifiedChunks > 0)
+	return verdict(res.Outcome())
 }
 
 // cmdGroup compares N runs' checkpoints against a baseline in one engine
@@ -498,48 +500,37 @@ func cmdGroup(ctx context.Context, args []string, out io.Writer) error {
 	if *baseline == "" || *runs == "" {
 		return errors.New("-baseline and -runs are required")
 	}
-	var topo repro.Topology
-	switch *topoName {
-	case "star", "":
-		topo = repro.TopologyStar
-	case "all-pairs":
-		topo = repro.TopologyAllPairs
-	default:
-		return fmt.Errorf("unknown topology %q", *topoName)
+	topo, err := compare.ParseTopology(*topoName)
+	if err != nil {
+		return err
 	}
 	names := strings.Split(*runs, ",")
 	rep, err := repro.GroupCompare(ctx, store, *baseline, names, topo, repro.Options{Epsilon: *eps, ChunkSize: *chunk, Degrade: *degrade})
 	if err != nil {
 		return err
 	}
-	diverged := false
-	for _, p := range rep.Pairs {
-		if p.Result.DiffCount != 0 {
-			diverged = true
-		}
-	}
 	if *asJSON {
 		if err := emitJSON(out, rep); err != nil {
 			return err
 		}
-		return verdict(diverged, rep.Degraded())
+		return verdict(rep.Outcome())
 	}
 	fmt.Fprintf(out, "group comparison of %d members (%s): %d pairs, %d read ops, %d bytes read\n",
 		len(rep.Members), topo, len(rep.Pairs), rep.ReadOps, rep.ReadBytes)
 	for _, p := range rep.Pairs {
 		status := "match"
-		switch {
-		case p.Result.DiffCount != 0:
+		switch o := p.Result.Outcome(); {
+		case o.Diverged:
 			status = fmt.Sprintf("%d divergent elements", p.Result.DiffCount)
-			if p.Result.Degraded {
+			if o.Degraded {
 				status += fmt.Sprintf(" (DEGRADED: %d chunks unverified)", p.Result.UnverifiedChunks)
 			}
-		case p.Result.Degraded:
+		case o.Degraded:
 			status = fmt.Sprintf("DEGRADED: %d chunks unverified, no proven divergence", p.Result.UnverifiedChunks)
 		}
 		fmt.Fprintf(out, "  %s vs %s: %s\n", p.NameA, p.NameB, status)
 	}
-	return verdict(diverged, rep.Degraded())
+	return verdict(rep.Outcome())
 }
 
 func cmdHistory(ctx context.Context, args []string, out io.Writer) error {
@@ -591,7 +582,7 @@ func cmdHistory(ctx context.Context, args []string, out io.Writer) error {
 		if err := emitJSON(out, toJSONHistory(report, method, *eps)); err != nil {
 			return err
 		}
-		return verdict(!report.Reproducible(), report.Degraded())
+		return verdict(report.Outcome())
 	}
 	fmt.Fprintf(out, "compared %d checkpoint pairs of %s vs %s (eps=%g, method=%s)\n",
 		len(report.Pairs), *runA, *runB, *eps, method)
@@ -602,22 +593,22 @@ func cmdHistory(ctx context.Context, args []string, out io.Writer) error {
 		} else if p.Result.DiffCount < 0 {
 			status = "diverged (allclose)"
 		}
-		if p.Result.Degraded {
+		if p.Result.Outcome().Degraded {
 			status += fmt.Sprintf(" (DEGRADED: %d chunks unverified)", p.Result.UnverifiedChunks)
 		}
 		fmt.Fprintf(out, "  iter %4d rank %3d: %s\n", p.Iteration, p.Rank, status)
 	}
-	if report.Reproducible() {
-		if report.Degraded() {
-			fmt.Fprintln(out, "no proven divergence, but the comparison degraded: inconclusive")
-		} else {
-			fmt.Fprintln(out, "runs are reproducible within the error bound")
-		}
-		return verdict(false, report.Degraded())
+	o := report.Outcome()
+	switch {
+	case o.Diverged:
+		fmt.Fprintf(out, "first divergence: iteration %d, rank %d\n",
+			report.FirstDivergence.Iteration, report.FirstDivergence.Rank)
+	case o.Degraded:
+		fmt.Fprintln(out, "no proven divergence, but the comparison degraded: inconclusive")
+	default:
+		fmt.Fprintln(out, "runs are reproducible within the error bound")
 	}
-	fmt.Fprintf(out, "first divergence: iteration %d, rank %d\n",
-		report.FirstDivergence.Iteration, report.FirstDivergence.Rank)
-	return errDivergent
+	return verdict(o)
 }
 
 func cmdInspect(ctx context.Context, args []string, out io.Writer) error {

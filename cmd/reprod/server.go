@@ -11,13 +11,15 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/compare"
 )
 
 // server is the HTTP surface over one plane and one store. Sessions are
 // opened per tenant on first use and shared across requests; jobs are
 // indexed by their plane-unique ID for polling. When the daemon runs
-// with -journal, verdicts recovered from the ledger are served from the
-// ledger map — a completed job survives kill -9 without recomputation.
+// with -journal, jobs recovered from the ledger are indexed the same way
+// and serve their durable verdicts — a completed job survives kill -9
+// without recomputation.
 type server struct {
 	plane *repro.Plane
 	store *repro.Store
@@ -32,9 +34,6 @@ type server struct {
 	mu       sync.Mutex
 	sessions map[string]*repro.Session
 	jobs     map[uint64]*repro.Job
-	// ledger maps completed jobs recovered from the journal to their
-	// durable verdict records (served, never recomputed).
-	ledger map[uint64]repro.WALRecord
 }
 
 func newServer(plane *repro.Plane, store *repro.Store) *server {
@@ -45,7 +44,6 @@ func newServer(plane *repro.Plane, store *repro.Store) *server {
 		drain:    make(chan struct{}),
 		sessions: make(map[string]*repro.Session),
 		jobs:     make(map[uint64]*repro.Job),
-		ledger:   make(map[uint64]repro.WALRecord),
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
@@ -57,17 +55,16 @@ func newServer(plane *repro.Plane, store *repro.Store) *server {
 	return s
 }
 
-// adopt installs a journal recovery into the serving maps: ledger
-// verdicts become servable and re-admitted jobs become pollable under
-// their original IDs.
+// adopt installs a journal recovery into the job index: ledger verdicts
+// and re-admitted jobs become pollable under their original IDs.
 func (s *server) adopt(rec *repro.PlaneRecovery) {
 	if rec == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for id, r := range rec.Ledger {
-		s.ledger[id] = r
+	for id, job := range rec.Ledger {
+		s.jobs[id] = job
 	}
 	for _, job := range rec.Resumed {
 		s.jobs[job.ID()] = job
@@ -263,25 +260,22 @@ type jobRequest struct {
 }
 
 func (jr jobRequest) spec() (repro.JobSpec, error) {
+	topo, err := compare.ParseTopology(jr.Topology)
+	if err != nil {
+		return repro.JobSpec{}, err
+	}
 	spec := repro.JobSpec{
 		Kind:     repro.JobKind(jr.Kind),
 		A:        jr.A,
 		B:        jr.B,
 		Baseline: jr.Baseline,
 		Runs:     jr.Runs,
+		Topology: topo,
 		Options: repro.Options{
 			Epsilon:   jr.Epsilon,
 			ChunkSize: jr.ChunkSize,
 			Degrade:   jr.Degrade,
 		},
-	}
-	switch jr.Topology {
-	case "", "star":
-		spec.Topology = repro.TopologyStar
-	case "all-pairs":
-		spec.Topology = repro.TopologyAllPairs
-	default:
-		return spec, fmt.Errorf("unknown topology %q", jr.Topology)
 	}
 	spec.Shard.Workers = jr.ShardWorkers
 	return spec, nil
@@ -312,22 +306,6 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, job.Status())
 }
 
-// ledgerStatus synthesizes a done-job snapshot from a durable verdict
-// record.
-func ledgerStatus(rec repro.WALRecord) repro.JobStatus {
-	return repro.JobStatus{
-		ID:        rec.Job,
-		Kind:      rec.Kind,
-		Tenant:    rec.Tenant,
-		State:     "done",
-		Verdict:   repro.JobVerdict(rec.Exit).String(),
-		ExitCode:  rec.Exit,
-		Error:     rec.ErrMsg,
-		DiffCount: rec.DiffCount,
-		Degraded:  rec.Degraded,
-	}
-}
-
 // jobID parses the {id} path value.
 func (s *server) jobID(w http.ResponseWriter, r *http.Request) (uint64, bool) {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
@@ -338,17 +316,11 @@ func (s *server) jobID(w http.ResponseWriter, r *http.Request) (uint64, bool) {
 	return id, true
 }
 
-// lookupJob resolves an ID to a live job or a ledger verdict.
-func (s *server) lookupJob(id uint64) (job *repro.Job, rec repro.WALRecord, fromLedger bool) {
+// lookupJob resolves an ID to a live or ledger-recovered job.
+func (s *server) lookupJob(id uint64) *repro.Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j, ok := s.jobs[id]; ok {
-		return j, repro.WALRecord{}, false
-	}
-	if r, ok := s.ledger[id]; ok {
-		return nil, r, true
-	}
-	return nil, repro.WALRecord{}, false
+	return s.jobs[id]
 }
 
 func (s *server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
@@ -356,15 +328,12 @@ func (s *server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	job, rec, fromLedger := s.lookupJob(id)
-	switch {
-	case job != nil:
-		writeJSON(w, http.StatusOK, job.Status())
-	case fromLedger:
-		writeJSON(w, http.StatusOK, ledgerStatus(rec))
-	default:
+	job := s.lookupJob(id)
+	if job == nil {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("no job %d", id)})
+		return
 	}
+	writeJSON(w, http.StatusOK, job.Status())
 }
 
 // handleJobWait long-polls the verdict: it responds as soon as the job
@@ -378,11 +347,7 @@ func (s *server) handleJobWait(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	job, rec, fromLedger := s.lookupJob(id)
-	if fromLedger {
-		writeJSON(w, http.StatusOK, ledgerStatus(rec))
-		return
-	}
+	job := s.lookupJob(id)
 	if job == nil {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("no job %d", id)})
 		return

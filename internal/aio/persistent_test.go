@@ -1,8 +1,8 @@
 package aio
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 

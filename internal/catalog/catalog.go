@@ -37,20 +37,20 @@ type Manifest struct {
 
 // Entry is one checkpoint's state.
 type Entry struct {
-	Name        string  `json:"name"`
-	Iteration   int     `json:"iteration"`
-	Rank        int     `json:"rank"`
-	Fields      int     `json:"fields"`
-	DataBytes   int64   `json:"dataBytes"`
-	Compacted   bool    `json:"compacted"`
+	Name      string `json:"name"`
+	Iteration int    `json:"iteration"`
+	Rank      int    `json:"rank"`
+	Fields    int    `json:"fields"`
+	DataBytes int64  `json:"dataBytes"`
+	Compacted bool   `json:"compacted"`
 	// Differential marks a checkpoint captured through the shared CAS: it
 	// has no container file — its chunks live as extents of the store's
 	// pack, addressed by the leaf manifest next to the checkpoint name.
-	Differential bool `json:"differential,omitempty"`
-	HasMetadata  bool `json:"hasMetadata"`
-	Epsilon     float64 `json:"epsilon,omitempty"`
-	ChunkSize   int     `json:"chunkSize,omitempty"`
-	MetaBytes   int64   `json:"metaBytes,omitempty"`
+	Differential bool    `json:"differential,omitempty"`
+	HasMetadata  bool    `json:"hasMetadata"`
+	Epsilon      float64 `json:"epsilon,omitempty"`
+	ChunkSize    int     `json:"chunkSize,omitempty"`
+	MetaBytes    int64   `json:"metaBytes,omitempty"`
 }
 
 // ManifestName returns the run's manifest path on the store.

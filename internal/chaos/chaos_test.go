@@ -215,10 +215,12 @@ func waitGoroutines(t *testing.T, base int) {
 // TestChaosSoak is the main harness: seeds × topologies, degrade on.
 func TestChaosSoak(t *testing.T) {
 	sc := soakScale()
+	pool := device.NewPool(2)
+	defer pool.Close()
 	opts := compare.Options{
 		Epsilon:   1e-5,
 		ChunkSize: sc.chunk,
-		Exec:      device.NewParallel(2),
+		Exec:      pool,
 		Degrade:   true,
 	}
 	g := seedGroup(t, sc, opts)
@@ -265,10 +267,12 @@ func TestChaosSoak(t *testing.T) {
 // error, never as a degraded-looking report.
 func TestChaosStrictAborts(t *testing.T) {
 	sc := soakScale()
+	pool := device.NewPool(2)
+	defer pool.Close()
 	opts := compare.Options{
 		Epsilon:   1e-5,
 		ChunkSize: sc.chunk,
-		Exec:      device.NewParallel(2),
+		Exec:      pool,
 	}
 	g := seedGroup(t, sc, opts)
 	for seed := uint64(1); seed < uint64(sc.seeds); seed += 2 { // permanent-fault seeds

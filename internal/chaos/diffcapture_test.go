@@ -49,10 +49,12 @@ func diffSchedule(seed uint64) []faults.Rule {
 
 func TestChaosDiffCapture(t *testing.T) {
 	sc := soakScale()
+	pool := device.NewPool(2)
+	defer pool.Close()
 	opts := compare.Options{
 		Epsilon:   1e-5,
 		ChunkSize: sc.chunk,
-		Exec:      device.NewParallel(2),
+		Exec:      pool,
 		Degrade:   true,
 	}
 	hasher, err := errbound.NewHasher(errbound.Float32, opts.Epsilon)

@@ -35,7 +35,9 @@ func diffMeta(iter int) Meta {
 
 func TestWriteCheckpointDiffColdThenWarm(t *testing.T) {
 	store, cs := diffFixture(t)
-	cfg := DiffConfig{Epsilon: 1e-5, ChunkSize: 4 << 10, Exec: device.NewParallel(4)}
+	pool := device.NewPool(4)
+	defer pool.Close()
+	cfg := DiffConfig{Epsilon: 1e-5, ChunkSize: 4 << 10, Exec: pool}
 
 	data0 := [][]byte{synth.FieldF32(16384, 1), synth.FieldF32(16384, 2)}
 	res0, err := WriteCheckpointDiff(store, cs, diffMeta(0), data0, cfg)

@@ -55,11 +55,13 @@ func buildWorkload(t *testing.T, store *pfs.Store, nPairs, elems int, opts compa
 	return pairs
 }
 
-func scalingOpts(eps float64) compare.Options {
+func scalingOpts(t testing.TB, eps float64) compare.Options {
+	pool := device.NewPool(2)
+	t.Cleanup(pool.Close)
 	return compare.Options{
 		Epsilon:      eps,
 		ChunkSize:    4 << 10,
-		Exec:         device.NewParallel(2),
+		Exec:         pool,
 		SetupVirtual: time.Millisecond, // keep fixed costs from washing out laptop-scale dynamics
 	}
 }
@@ -69,7 +71,7 @@ func TestRunPartitionsAllPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := scalingOpts(1e-5)
+	opts := scalingOpts(t, 1e-5)
 	pairs := buildWorkload(t, store, 10, 8<<10, opts)
 	res, err := Run(context.Background(), store, pairs, Config{Processes: 3, Method: compare.MethodMerkle, Opts: opts})
 	if err != nil {
@@ -101,7 +103,7 @@ func TestStrongScalingShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := scalingOpts(1e-3)
+	opts := scalingOpts(t, 1e-3)
 	pairs := buildWorkload(t, store, 8, 1<<20, opts)
 
 	makespan := map[int]map[string]float64{}
@@ -134,7 +136,7 @@ func TestRunValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := scalingOpts(1e-5)
+	opts := scalingOpts(t, 1e-5)
 	if _, err := Run(context.Background(), store, nil, Config{Processes: 2, Method: compare.MethodDirect, Opts: opts}); err == nil {
 		t.Error("empty workload accepted")
 	}
@@ -153,7 +155,7 @@ func TestMoreProcessesThanPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := scalingOpts(1e-5)
+	opts := scalingOpts(t, 1e-5)
 	pairs := buildWorkload(t, store, 2, 4<<10, opts)
 	res, err := Run(context.Background(), store, pairs, Config{Processes: 8, Method: compare.MethodMerkle, Opts: opts})
 	if err != nil {
@@ -173,7 +175,7 @@ func TestSharersRestoredAfterRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := scalingOpts(1e-5)
+	opts := scalingOpts(t, 1e-5)
 	pairs := buildWorkload(t, store, 2, 4<<10, opts)
 	if _, err := Run(context.Background(), store, pairs, Config{Processes: 8, PerNode: 4, Method: compare.MethodDirect, Opts: opts}); err != nil {
 		t.Fatal(err)
@@ -227,7 +229,7 @@ func TestStealingBalancesSkew(t *testing.T) {
 	// would make tiny pairs as virtually expensive as huge ones, decoupling
 	// the virtual makespan from the size skew the test constructs. (Zero
 	// would be normalized back to the default.)
-	opts := scalingOpts(1e-5)
+	opts := scalingOpts(t, 1e-5)
 	opts.SetupVirtual = time.Microsecond
 	pairs := buildSkewedWorkload(t, store, 8, 1<<10, 1<<20, opts)
 	run := func(static bool) *Result {
@@ -295,7 +297,7 @@ func TestMidPairCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := scalingOpts(1e-5)
+	opts := scalingOpts(t, 1e-5)
 	pairs := buildWorkload(t, store, 4, 8<<10, opts)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -42,7 +42,7 @@ func compactEnv(t *testing.T, opts Options) (*pfs.Store, []int) {
 }
 
 func TestCompactHistoryKeepsLatest(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	store, iters := compactEnv(t, opts)
 	report, err := CompactHistory(context.Background(), store, "cA", 1, opts)
 	if err != nil {
@@ -84,7 +84,7 @@ func TestCompactHistoryKeepsLatest(t *testing.T) {
 }
 
 func TestCompactedStillComparableAtTreeLevel(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	store, _ := compactEnv(t, opts)
 	// Establish ground truth while data exists.
 	full, err := CompareMerkle(context.Background(), store, ckpt.Name("cA", 10, 0), ckpt.Name("cB", 10, 0), opts)
@@ -120,7 +120,7 @@ func TestCompactedStillComparableAtTreeLevel(t *testing.T) {
 }
 
 func TestCompactTreesOnlyIdentical(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	store, err := pfs.NewStore(t.TempDir(), pfs.LustreModel())
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestCompactTreesOnlyIdentical(t *testing.T) {
 }
 
 func TestCompactCheckpointBuildsMissingMetadata(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	store, err := pfs.NewStore(t.TempDir(), pfs.LustreModel())
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestCompactCheckpointBuildsMissingMetadata(t *testing.T) {
 }
 
 func TestCompactHistoryValidation(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	store, err := pfs.NewStore(t.TempDir(), pfs.LustreModel())
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +221,7 @@ func TestIsCompactedStates(t *testing.T) {
 }
 
 func TestCompareTreesOnlyEpsilonMismatch(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	store, _ := compactEnv(t, opts)
 	other := opts
 	other.Epsilon = 1e-3

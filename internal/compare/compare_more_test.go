@@ -1,8 +1,8 @@
 package compare
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -48,7 +48,9 @@ func TestMixedDTypeCheckpoint(t *testing.T) {
 	}
 	dataB := [][]byte{append([]byte(nil), dataA[0]...), e}
 
-	opts := Options{Epsilon: 1e-5, ChunkSize: 4 << 10, Exec: device.NewParallel(2)}
+	pool := device.NewPool(2)
+	defer pool.Close()
+	opts := Options{Epsilon: 1e-5, ChunkSize: 4 << 10, Exec: pool}
 	for run, data := range map[string][][]byte{"mA": dataA, "mB": dataB} {
 		meta := ckpt.Meta{RunID: run, Iteration: 0, Rank: 0, Fields: fields}
 		if _, err := ckpt.WriteCheckpoint(store, meta, data); err != nil {
@@ -169,7 +171,7 @@ func TestQuickMerkleEqualsDirect(t *testing.T) {
 // TestMmapBackendComparison runs the Merkle compare with the mmap backend
 // and checks it finds the same divergences as io_uring.
 func TestMmapBackendComparison(t *testing.T) {
-	opts := baseOpts(1e-5, 8<<10)
+	opts := baseOpts(t, 1e-5, 8<<10)
 	env := newEnv(t, 64<<10, opts, synth.DefaultPerturb(77))
 	uringRes, err := CompareMerkle(context.Background(), env.store, env.nameA, env.nameB, opts)
 	if err != nil {
@@ -196,7 +198,7 @@ func TestMmapBackendComparison(t *testing.T) {
 // TestStartLevelEquivalence verifies every BFS start level yields the same
 // comparison outcome end to end.
 func TestStartLevelEquivalence(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	env := newEnv(t, 32<<10, opts, synth.DefaultPerturb(88))
 	var ref *Result
 	for _, level := range []int{-1, 1, 3, 20} {
@@ -241,7 +243,7 @@ func TestMissingMetadataError(t *testing.T) {
 // TestChunkLargerThanField exercises the degenerate single-chunk-per-field
 // geometry.
 func TestChunkLargerThanField(t *testing.T) {
-	opts := baseOpts(1e-5, 1<<20) // 1 MiB chunks over 16 KiB fields
+	opts := baseOpts(t, 1e-5, 1<<20) // 1 MiB chunks over 16 KiB fields
 	env := newEnv(t, 4<<10, opts, synth.DefaultPerturb(99))
 	res, err := CompareMerkle(context.Background(), env.store, env.nameA, env.nameB, opts)
 	if err != nil {
@@ -303,7 +305,7 @@ func TestHistoriesValidation(t *testing.T) {
 // TestAllCloseViaMethodRun covers Method.Run's allclose path, whose
 // DiffCount sentinel (-1) marks divergence without a count.
 func TestAllCloseViaMethodRun(t *testing.T) {
-	opts := baseOpts(1e-7, 8<<10)
+	opts := baseOpts(t, 1e-7, 8<<10)
 	pert := synth.DefaultPerturb(111)
 	pert.MagLo, pert.MagHi = 1e-3, 1e-2 // everything beyond eps
 	pert.UntouchedFrac = 0

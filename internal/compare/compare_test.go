@@ -1,8 +1,8 @@
 package compare
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -70,11 +70,13 @@ func newEnv(t *testing.T, elems int, opts Options, perturb synth.PerturbConfig) 
 	return env
 }
 
-func baseOpts(eps float64, chunk int) Options {
+func baseOpts(t testing.TB, eps float64, chunk int) Options {
+	pool := device.NewPool(2)
+	t.Cleanup(pool.Close)
 	return Options{
 		Epsilon:   eps,
 		ChunkSize: chunk,
-		Exec:      device.NewParallel(2),
+		Exec:      pool,
 	}
 }
 
@@ -130,7 +132,7 @@ func assertSameDiffs(t *testing.T, want, got map[string][]int64, label string) {
 func TestMerkleMatchesGroundTruth(t *testing.T) {
 	for _, eps := range []float64{1e-3, 1e-5, 1e-7} {
 		for _, chunk := range []int{4 << 10, 64 << 10} {
-			opts := baseOpts(eps, chunk)
+			opts := baseOpts(t, eps, chunk)
 			env := newEnv(t, 64<<10, opts, synth.DefaultPerturb(7))
 			want := groundTruth(t, env, eps)
 			res, err := CompareMerkle(context.Background(), env.store, env.nameA, env.nameB, opts)
@@ -153,7 +155,7 @@ func TestMerkleMatchesGroundTruth(t *testing.T) {
 }
 
 func TestDirectMatchesGroundTruth(t *testing.T) {
-	opts := baseOpts(1e-5, 16<<10)
+	opts := baseOpts(t, 1e-5, 16<<10)
 	env := newEnv(t, 64<<10, opts, synth.DefaultPerturb(8))
 	want := groundTruth(t, env, 1e-5)
 	res, err := CompareDirect(context.Background(), env.store, env.nameA, env.nameB, opts)
@@ -167,7 +169,7 @@ func TestDirectMatchesGroundTruth(t *testing.T) {
 }
 
 func TestMerkleAgreesWithDirect(t *testing.T) {
-	opts := baseOpts(1e-6, 8<<10)
+	opts := baseOpts(t, 1e-6, 8<<10)
 	env := newEnv(t, 32<<10, opts, synth.DefaultPerturb(9))
 	rm, err := CompareMerkle(context.Background(), env.store, env.nameA, env.nameB, opts)
 	if err != nil {
@@ -185,7 +187,7 @@ func TestMerkleAgreesWithDirect(t *testing.T) {
 }
 
 func TestAllCloseAgrees(t *testing.T) {
-	opts := baseOpts(1e-5, 16<<10)
+	opts := baseOpts(t, 1e-5, 16<<10)
 	env := newEnv(t, 32<<10, opts, synth.DefaultPerturb(10))
 	want := groundTruth(t, env, 1e-5)
 	ok, res, err := CompareAllClose(context.Background(), env.store, env.nameA, env.nameB, opts)
@@ -201,7 +203,7 @@ func TestAllCloseAgrees(t *testing.T) {
 }
 
 func TestAllCloseIdenticalRuns(t *testing.T) {
-	opts := baseOpts(1e-7, 16<<10)
+	opts := baseOpts(t, 1e-7, 16<<10)
 	pert := synth.DefaultPerturb(11)
 	pert.UntouchedFrac = 1.0 // identical runs
 	env := newEnv(t, 16<<10, opts, pert)
@@ -219,7 +221,7 @@ func TestAllCloseIdenticalRuns(t *testing.T) {
 
 func TestMerkleIdenticalRunsReadNoData(t *testing.T) {
 	// The paper's ideal case: no changes -> only metadata is read.
-	opts := baseOpts(1e-5, 8<<10)
+	opts := baseOpts(t, 1e-5, 8<<10)
 	pert := synth.DefaultPerturb(12)
 	pert.UntouchedFrac = 1.0
 	env := newEnv(t, 64<<10, opts, pert)
@@ -240,7 +242,7 @@ func TestConservativeNoFalseNegatives(t *testing.T) {
 	// chunk: the error-bounded hash can have false positives, never false
 	// negatives. Verified implicitly by diff equality, and explicitly by
 	// chunk accounting here.
-	opts := baseOpts(1e-4, 4<<10)
+	opts := baseOpts(t, 1e-4, 4<<10)
 	env := newEnv(t, 128<<10, opts, synth.DefaultPerturb(13))
 	res, err := CompareMerkle(context.Background(), env.store, env.nameA, env.nameB, opts)
 	if err != nil {
@@ -264,7 +266,7 @@ func TestMerkleReadsLessThanDirect(t *testing.T) {
 	// less data and is faster on the virtual clock.
 	// Low change rate (the reproducibility-study regime the method is
 	// built for): ~2% of blocks diverge above ε.
-	opts := baseOpts(1e-3, 4<<10)
+	opts := baseOpts(t, 1e-3, 4<<10)
 	opts.SetupVirtual = time.Millisecond // do not let fixed setup wash out the comparison
 	pert := synth.DefaultPerturb(14)
 	pert.UntouchedFrac = 0.98
@@ -290,7 +292,7 @@ func TestMerkleReadsLessThanDirect(t *testing.T) {
 }
 
 func TestBreakdownPhasesPopulated(t *testing.T) {
-	opts := baseOpts(1e-5, 8<<10)
+	opts := baseOpts(t, 1e-5, 8<<10)
 	env := newEnv(t, 64<<10, opts, synth.DefaultPerturb(15))
 	res, err := CompareMerkle(context.Background(), env.store, env.nameA, env.nameB, opts)
 	if err != nil {
@@ -307,7 +309,7 @@ func TestBreakdownPhasesPopulated(t *testing.T) {
 }
 
 func TestEpsilonMismatchRejected(t *testing.T) {
-	opts := baseOpts(1e-5, 8<<10)
+	opts := baseOpts(t, 1e-5, 8<<10)
 	env := newEnv(t, 16<<10, opts, synth.DefaultPerturb(16))
 	other := opts
 	other.Epsilon = 1e-3 // metadata was built at 1e-5
@@ -317,7 +319,7 @@ func TestEpsilonMismatchRejected(t *testing.T) {
 }
 
 func TestSchemaMismatchRejected(t *testing.T) {
-	opts := baseOpts(1e-5, 8<<10)
+	opts := baseOpts(t, 1e-5, 8<<10)
 	env := newEnv(t, 16<<10, opts, synth.DefaultPerturb(17))
 	// A third checkpoint with a different schema.
 	fields := []ckpt.FieldSpec{{Name: "x", DType: errbound.Float32, Count: 100}}
@@ -338,7 +340,7 @@ func TestSchemaMismatchRejected(t *testing.T) {
 }
 
 func TestOptionsValidation(t *testing.T) {
-	env := newEnv(t, 1024, baseOpts(1e-5, 4096), synth.DefaultPerturb(18))
+	env := newEnv(t, 1024, baseOpts(t, 1e-5, 4096), synth.DefaultPerturb(18))
 	for _, eps := range []float64{0, -1, math.Inf(1), math.NaN()} {
 		if _, err := CompareMerkle(context.Background(), env.store, env.nameA, env.nameB, Options{Epsilon: eps}); err == nil {
 			t.Errorf("epsilon %v accepted", eps)
@@ -350,7 +352,7 @@ func TestOptionsValidation(t *testing.T) {
 }
 
 func TestMetadataRoundTrip(t *testing.T) {
-	opts := baseOpts(1e-5, 8<<10)
+	opts := baseOpts(t, 1e-5, 8<<10)
 	fields := []ckpt.FieldSpec{
 		{Name: "x", DType: errbound.Float32, Count: 10000},
 		{Name: "phi", DType: errbound.Float64, Count: 5000},
@@ -401,7 +403,7 @@ func TestReadMetadataRejectsGarbage(t *testing.T) {
 }
 
 func TestBuildAndSave(t *testing.T) {
-	opts := baseOpts(1e-5, 8<<10)
+	opts := baseOpts(t, 1e-5, 8<<10)
 	env := newEnv(t, 8<<10, opts, synth.DefaultPerturb(19))
 	m, stats, err := BuildAndSave(context.Background(), env.store, env.nameA, opts)
 	if err != nil {
@@ -428,8 +430,10 @@ func TestFig8ShapeTreeBuildCPUvsGPU(t *testing.T) {
 	fields := []ckpt.FieldSpec{{Name: "x", DType: errbound.Float32, Count: 1 << 22}}
 	data := [][]byte{synth.FieldF32(1<<22, 3)}
 	var prevGPU time.Duration
+	pool := device.NewPool(2)
+	defer pool.Close()
 	for _, chunk := range []int{4 << 10, 32 << 10} {
-		gpuOpts := Options{Epsilon: 1e-7, ChunkSize: chunk, Device: device.GPUModel(), Exec: device.NewParallel(2)}
+		gpuOpts := Options{Epsilon: 1e-7, ChunkSize: chunk, Device: device.GPUModel(), Exec: pool}
 		cpuOpts := Options{Epsilon: 1e-7, ChunkSize: chunk, Device: device.CPUModel(), Exec: device.Serial{}}
 		_, gs, err := Build(fields, data, gpuOpts)
 		if err != nil {

@@ -108,7 +108,7 @@ func corruptOnDisk(t *testing.T, store *pfs.Store, name string) {
 // survives retries degrades the pair to a metadata-only verdict instead of
 // failing, and the degraded result is never a clean match.
 func TestDegradeStreamFailureMetadataOnlyVerdict(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	env := newEnv(t, 64<<10, opts, synth.DefaultPerturb(70))
 	opts.Backend = nameFailBackend{inner: aio.Mmap{}, match: "runB", err: errStorage}
 	opts.Degrade = true
@@ -139,7 +139,7 @@ func TestDegradeStreamFailureMetadataOnlyVerdict(t *testing.T) {
 // re-read sees the clean bytes and the comparison completes undegraded
 // with exactly the ground-truth diffs.
 func TestDegradeInFlightCorruptionRecovers(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	env := newEnv(t, 64<<10, opts, synth.DefaultPerturb(71))
 	opts.Backend = corruptBackend{inner: aio.Mmap{}, match: "runB"}
 	opts.Degrade = true
@@ -159,7 +159,7 @@ func TestDegradeInFlightCorruptionRecovers(t *testing.T) {
 // than diffed from untrusted bytes — and the result is never Identical
 // even with zero recorded diffs.
 func TestDegradeOnDiskCorruptionUnverified(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	env := newEnv(t, 64<<10, opts, synth.DefaultPerturb(72))
 	corruptOnDisk(t, env.store, env.nameB)
 	opts.Degrade = true
@@ -182,7 +182,7 @@ func TestDegradeOnDiskCorruptionUnverified(t *testing.T) {
 // TestDegradeRetriesTransientAtCompareLevel: transient stage-2 blips are
 // retried away and accounted, leaving an undegraded, exact result.
 func TestDegradeRetriesTransientAtCompareLevel(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	env := newEnv(t, 64<<10, opts, synth.DefaultPerturb(73))
 	opts.Backend = &flakyCountBackend{inner: aio.Mmap{}, fails: 2}
 	opts.Retry = retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, Multiplier: 2}
@@ -257,7 +257,7 @@ func chunkSources(t *testing.T, opts Options, seed int64) ([]chunkSource, map[st
 // fresh ring per slice — the first ladder rung — without degrading, for
 // both chunk sources.
 func TestDegradeRingClosedFallsBack(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	sources, want := chunkSources(t, opts, 74)
 	opts.Backend = ringClosedBackend{}
 	for _, src := range sources {
@@ -280,7 +280,7 @@ func TestDegradeRingClosedFallsBack(t *testing.T) {
 // TestGroupRingClosedFallsBack: group unions served by the fresh-ring
 // fallback complete undegraded and are accounted, for both chunk sources.
 func TestGroupRingClosedFallsBack(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	sources, want := chunkSources(t, opts, 77)
 	opts.Backend = ringClosedBackend{}
 	for _, src := range sources {
@@ -307,7 +307,7 @@ func TestGroupRingClosedFallsBack(t *testing.T) {
 // retries degrades every pair it touches to the metadata-only verdict; the
 // group is never reported reproducible.
 func TestGroupDegradeMemberReadFailure(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	env := newEnv(t, 64<<10, opts, synth.DefaultPerturb(75))
 	opts.Backend = nameFailBackend{inner: aio.Mmap{}, match: "runB", err: errStorage}
 	opts.Degrade = true
@@ -337,7 +337,7 @@ func TestGroupDegradeMemberReadFailure(t *testing.T) {
 // TestGroupDegradeOnDiskCorruptionUnverified: the group integrity rung
 // counts media-damaged chunks Unverified instead of diffing them.
 func TestGroupDegradeOnDiskCorruptionUnverified(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	env := newEnv(t, 64<<10, opts, synth.DefaultPerturb(76))
 	corruptOnDisk(t, env.store, env.nameB)
 	opts.Degrade = true

@@ -86,7 +86,7 @@ func evolve(data [][]byte, seed int64) [][]byte {
 // to a full rebuild — both from the manifest's digests and from the raw
 // data itself.
 func TestDiffCaptureGoldenIncrementalRoot(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	env := newDiffEnv(t, opts)
 	const elems = 16 << 10
 	fields := f32Fields([]string{"x", "vx"}, elems)
@@ -138,7 +138,7 @@ func TestDiffCaptureGoldenIncrementalRoot(t *testing.T) {
 // captured through the shared CAS must report exactly the diffs the
 // classic two-file comparison (and ground truth) reports.
 func TestCompareDiffMatchesMerkle(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	classic := newEnv(t, 64<<10, opts, synth.DefaultPerturb(7))
 	env := newDiffEnv(t, opts)
 	fields := classic.meta.Fields
@@ -182,7 +182,7 @@ func TestCompareDiffMatchesMerkle(t *testing.T) {
 // prunes every candidate of an identical re-comparison — zero stage-2
 // read ops, identical diffs.
 func TestCompareDiffMemoReplaySkipsReads(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	classic := newEnv(t, 64<<10, opts, synth.DefaultPerturb(8))
 	env := newDiffEnv(t, opts)
 	fields := classic.meta.Fields
@@ -233,7 +233,7 @@ func TestCompareDiffMemoReplaySkipsReads(t *testing.T) {
 // completes clean — and the same failure without the memo degrades every
 // candidate to Unverified, never silently matching.
 func TestCompareDiffPrunedNeverUnverified(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	classic := newEnv(t, 64<<10, opts, synth.DefaultPerturb(9))
 	env := newDiffEnv(t, opts)
 	fields := classic.meta.Fields
@@ -284,7 +284,7 @@ func TestCompareDiffPrunedNeverUnverified(t *testing.T) {
 // TestCompareDiffMemoEpsilonMismatch: a memo carries verdicts only at its
 // pinned ε; any other comparison must refuse it.
 func TestCompareDiffMemoEpsilonMismatch(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	env := newDiffEnv(t, opts)
 	fields := f32Fields([]string{"x"}, 4<<10)
 	data := [][]byte{synth.FieldF32(4<<10, 3)}

@@ -44,7 +44,7 @@ func evolutionEnv(t *testing.T, opts Options) *pfs.Store {
 }
 
 func TestEvolutionTracksChangeRate(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	store := evolutionEnv(t, opts)
 	report, err := Evolution(context.Background(), store, "evo", opts)
 	if err != nil {
@@ -77,7 +77,7 @@ func TestEvolutionTracksChangeRate(t *testing.T) {
 }
 
 func TestEvolutionWorksOnCompactedHistory(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	store := evolutionEnv(t, opts)
 	if _, err := CompactHistory(context.Background(), store, "evo", 0, opts); err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestEvolutionWorksOnCompactedHistory(t *testing.T) {
 }
 
 func TestEvolutionValidation(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	store, err := pfs.NewStore(t.TempDir(), pfs.LustreModel())
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestEvolutionValidation(t *testing.T) {
 }
 
 func TestEvolutionMultiRank(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	store, err := pfs.NewStore(t.TempDir(), pfs.LustreModel())
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestEvolutionMultiRank(t *testing.T) {
 }
 
 func TestFieldFilteredComparison(t *testing.T) {
-	opts := baseOpts(1e-5, 8<<10)
+	opts := baseOpts(t, 1e-5, 8<<10)
 	env := newEnv(t, 32<<10, opts, synth.DefaultPerturb(123))
 	full, err := CompareMerkle(context.Background(), env.store, env.nameA, env.nameB, opts)
 	if err != nil {

@@ -16,7 +16,7 @@ var errStorage = errors.New("injected storage fault")
 // various depths of the comparison and checks the error surfaces cleanly
 // (no hang, no partial result).
 func TestMerkleReadFaultPropagates(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	env := newEnv(t, 64<<10, opts, synth.DefaultPerturb(55))
 	// Fault during metadata read (first reads of the comparison).
 	faults.FailReads(env.store, 0, errStorage)
@@ -40,7 +40,7 @@ func TestMerkleReadFaultPropagates(t *testing.T) {
 }
 
 func TestDirectReadFaultPropagates(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	env := newEnv(t, 32<<10, opts, synth.DefaultPerturb(56))
 	faults.FailReads(env.store, 3, errStorage)
 	if _, err := CompareDirect(context.Background(), env.store, env.nameA, env.nameB, opts); !errors.Is(err, errStorage) {
@@ -49,7 +49,7 @@ func TestDirectReadFaultPropagates(t *testing.T) {
 }
 
 func TestAllCloseReadFaultPropagates(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	env := newEnv(t, 32<<10, opts, synth.DefaultPerturb(57))
 	faults.FailReads(env.store, 2, errStorage)
 	if _, _, err := CompareAllClose(context.Background(), env.store, env.nameA, env.nameB, opts); !errors.Is(err, errStorage) {
@@ -58,7 +58,7 @@ func TestAllCloseReadFaultPropagates(t *testing.T) {
 }
 
 func TestMerkleFaultWithMmapBackend(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	opts.Backend = aio.Mmap{}
 	env := newEnv(t, 32<<10, opts, synth.DefaultPerturb(58))
 	faults.FailReads(env.store, 10, errStorage)
@@ -68,7 +68,7 @@ func TestMerkleFaultWithMmapBackend(t *testing.T) {
 }
 
 func TestBuildAndSaveWriteFault(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	env := newEnv(t, 16<<10, opts, synth.DefaultPerturb(59))
 	faults.FailWrites(env.store, 0, errStorage)
 	if _, _, err := BuildAndSave(context.Background(), env.store, env.nameA, opts); !errors.Is(err, errStorage) {

@@ -43,6 +43,19 @@ func (t Topology) String() string {
 	}
 }
 
+// ParseTopology maps a topology's report name back to it: "" and
+// "star" are star, "all-pairs" is all-pairs, anything else is an error.
+func ParseTopology(name string) (Topology, error) {
+	switch name {
+	case "", TopologyStar.String():
+		return TopologyStar, nil
+	case TopologyAllPairs.String():
+		return TopologyAllPairs, nil
+	default:
+		return 0, fmt.Errorf("compare: unknown topology %q", name)
+	}
+}
+
 // pairList enumerates the member-index pairs of a topology over n members
 // (member 0 is the baseline).
 func (t Topology) pairList(n int) ([][2]int, error) {
@@ -113,24 +126,10 @@ type GroupReport struct {
 // Reproducible reports whether every compared pair cleanly matched within
 // ε. A degraded pair (unread or unverifiable chunks) is never a clean
 // match, so a degraded group is never reproducible.
-func (g *GroupReport) Reproducible() bool {
-	for i := range g.Pairs {
-		if !g.Pairs[i].Result.Identical() {
-			return false
-		}
-	}
-	return true
-}
+func (g *GroupReport) Reproducible() bool { return g.Outcome() == Outcome{} }
 
 // Degraded reports whether any pair completed on a degraded path.
-func (g *GroupReport) Degraded() bool {
-	for i := range g.Pairs {
-		if g.Pairs[i].Result.Degraded {
-			return true
-		}
-	}
-	return false
-}
+func (g *GroupReport) Degraded() bool { return g.Outcome().Degraded }
 
 // UnverifiedChunks totals the unverified candidate chunks across pairs.
 func (g *GroupReport) UnverifiedChunks() int {

@@ -40,7 +40,7 @@ func threeRunDiffEnv(t *testing.T, opts Options) (*diffEnv, []string) {
 // calls report, while issuing fewer store read operations (shared
 // members and deduplicated extents are fetched once for the group).
 func TestGroupCompareDiffMatchesPairwise(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	env, names := threeRunDiffEnv(t, opts)
 
 	ops0, _ := env.store.ReadStats()
@@ -90,7 +90,7 @@ func TestGroupCompareDiffMatchesPairwise(t *testing.T) {
 // completes clean even when every pack read fails, while the unmemoized
 // control degrades its surviving candidates to Unverified.
 func TestGroupCompareDiffMemoPrunesAndSurvivesPackFailure(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	env, names := threeRunDiffEnv(t, opts)
 	memo := NewCASMemo(1e-5)
 	opts.Memo = memo
@@ -163,7 +163,7 @@ func TestGroupCompareDiffMemoPrunesAndSurvivesPackFailure(t *testing.T) {
 // TestGroupCompareDiffAllPairs exercises the all-pairs topology,
 // including the run-vs-run pair that never touches the baseline.
 func TestGroupCompareDiffAllPairs(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	env, names := threeRunDiffEnv(t, opts)
 	rep, err := GroupCompareDiff(context.Background(), env.store, env.cs, names[0], names[1:], TopologyAllPairs, opts)
 	if err != nil {
@@ -185,7 +185,7 @@ func TestGroupCompareDiffAllPairs(t *testing.T) {
 // TestGroupPairRootsMatchMembers: every pair Result carries the combined
 // Merkle roots of the two members it compares, on both chunk sources.
 func TestGroupPairRootsMatchMembers(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
+	opts := baseOpts(t, 1e-5, 4<<10)
 	env, names := threeRunDiffEnv(t, opts)
 	rep, err := GroupCompareDiff(context.Background(), env.store, env.cs, names[0], names[1:], TopologyAllPairs, opts)
 	if err != nil {

@@ -99,15 +99,7 @@ func (h *HistoryReport) Reproducible() bool { return h.FirstDivergence == nil }
 // Degraded reports whether any pair completed on a degraded path
 // (unverified chunks or a metadata-only verdict): absence of divergence is
 // then inconclusive even when Reproducible returns true.
-func (h *HistoryReport) Degraded() bool {
-	for i := range h.Pairs {
-		r := h.Pairs[i].Result
-		if r.Degraded || r.UnverifiedChunks > 0 {
-			return true
-		}
-	}
-	return false
-}
+func (h *HistoryReport) Degraded() bool { return h.Outcome().Degraded }
 
 // unionHistory lists a run's comparable checkpoints: the union of its data
 // files (ckpt.History) and its metadata-only survivors (MetadataHistory),
@@ -197,7 +189,7 @@ func CompareHistories(ctx context.Context, store *pfs.Store, runA, runB string, 
 					Iteration: it, Rank: rk, NameA: nameA, NameB: nameB,
 					MetadataOnly: metaOnly, Result: res,
 				})
-				if res.DiffCount != 0 && report.FirstDivergence == nil {
+				if res.Outcome().Diverged && report.FirstDivergence == nil {
 					report.FirstDivergence = &report.Pairs[len(report.Pairs)-1]
 				}
 				return nil

@@ -74,7 +74,7 @@ func TestHistoriesLengthMismatchPartialRanks(t *testing.T) {
 // the middle of run A's history and asserts CompareHistories degrades
 // that pair to the metadata-only comparison instead of failing.
 func TestHistoriesCompactedCheckpointMidHistory(t *testing.T) {
-	opts := baseOpts(1e-6, 4<<10)
+	opts := baseOpts(t, 1e-6, 4<<10)
 	pert := synth.PerturbConfig{} // identical runs
 	store := historyEnv(t, []int{10, 20, 30}, opts, pert)
 
@@ -118,7 +118,7 @@ func TestHistoriesCompactedCheckpointMidHistory(t *testing.T) {
 // partway through and asserts ctx.Err() propagation with a partial
 // report of the pairs that finished.
 func TestHistoriesCancellationPartialReport(t *testing.T) {
-	opts := baseOpts(1e-7, 4<<10)
+	opts := baseOpts(t, 1e-7, 4<<10)
 	pert := synth.DefaultPerturb(5)
 	pert.MagLo, pert.MagHi = 1e-3, 1e-2 // beyond eps: stage 2 streams
 	store := historyEnv(t, []int{10, 20, 30}, opts, pert)

@@ -45,7 +45,7 @@ func errCallsOf(t *testing.T, fn func(ctx context.Context) error) int64 {
 // leakEnv builds a perturbed pair so stage 2 genuinely streams data.
 func leakEnv(t *testing.T) (*testEnv, Options) {
 	t.Helper()
-	opts := baseOpts(1e-7, 8<<10)
+	opts := baseOpts(t, 1e-7, 8<<10)
 	pert := synth.DefaultPerturb(7)
 	pert.MagLo, pert.MagHi = 1e-3, 1e-2
 	env := newEnv(t, 16<<10, opts, pert)

@@ -33,8 +33,7 @@ type Options struct {
 	// with the same shape (GOMAXPROCS workers, started once, reused
 	// across every tree level and compare batch). Pass device.Serial{}
 	// for the single-threaded "CPU" backend, or a private
-	// device.NewPool/device.NewParallel to bound parallelism per
-	// comparison.
+	// device.NewPool to bound parallelism per comparison.
 	Exec device.Executor
 	// Device prices kernels and transfers (default: GPU model).
 	Device device.Model

@@ -127,6 +127,4 @@ func (r *Result) ThroughputGBps() float64 {
 // Identical reports whether no element exceeded the bound. A degraded
 // comparison is never identical: chunks that were unread or unverifiable
 // could hide divergence, so the clean verdict requires a clean run.
-func (r *Result) Identical() bool {
-	return r.DiffCount == 0 && !r.Degraded && r.UnverifiedChunks == 0
-}
+func (r *Result) Identical() bool { return r.Outcome() == Outcome{} }

@@ -1,10 +1,6 @@
 package device
 
-import (
-	"sync/atomic"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestSerialForVisitsAll(t *testing.T) {
 	var seen [100]bool
@@ -16,56 +12,6 @@ func TestSerialForVisitsAll(t *testing.T) {
 	}
 	if (Serial{}).Workers() != 1 {
 		t.Error("Serial.Workers != 1")
-	}
-}
-
-func TestParallelForVisitsAllOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 7, 16} {
-		p := NewParallel(workers)
-		if p.Workers() != workers {
-			t.Errorf("Workers() = %d, want %d", p.Workers(), workers)
-		}
-		n := 1000
-		counts := make([]int32, n)
-		p.For(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
-		for i, c := range counts {
-			if c != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
-			}
-		}
-	}
-}
-
-func TestParallelForEdgeCases(t *testing.T) {
-	p := NewParallel(4)
-	p.For(0, func(i int) { t.Error("fn called for n=0") })
-	p.For(-3, func(i int) { t.Error("fn called for n<0") })
-	var called int32
-	p.For(1, func(i int) { atomic.AddInt32(&called, 1) })
-	if called != 1 {
-		t.Errorf("n=1 called %d times", called)
-	}
-}
-
-func TestNewParallelDefault(t *testing.T) {
-	if NewParallel(0).Workers() < 1 {
-		t.Error("default workers < 1")
-	}
-	if NewParallel(-5).Workers() < 1 {
-		t.Error("negative workers not defaulted")
-	}
-}
-
-func TestQuickParallelMatchesSerial(t *testing.T) {
-	p := NewParallel(3)
-	f := func(n uint8) bool {
-		var sumS, sumP int64
-		(Serial{}).For(int(n), func(i int) { sumS += int64(i * i) })
-		p.For(int(n), func(i int) { atomic.AddInt64(&sumP, int64(i*i)) })
-		return sumS == sumP
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -120,12 +66,5 @@ func TestRateTimeNeverNegative(t *testing.T) {
 	}
 	if d := rateTime(100, 0); d != 0 {
 		t.Errorf("zero rate priced %v", d)
-	}
-}
-
-func BenchmarkParallelForOverhead(b *testing.B) {
-	p := NewParallel(4)
-	for i := 0; i < b.N; i++ {
-		p.For(64, func(int) {})
 	}
 }

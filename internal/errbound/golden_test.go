@@ -184,7 +184,7 @@ func TestQuickHashChunkEquivalence(t *testing.T) {
 
 // TestGoldenChainEquivalence proves murmur3.Chain reproduces the
 // SumDigest chaining it replaces, block by block, including the half
-//-block tail, from both zero and non-zero seeds.
+// -block tail, from both zero and non-zero seeds.
 func TestGoldenChainEquivalence(t *testing.T) {
 	words := []uint64{0, 1, ^uint64(0), 0x0123456789abcdef, 0xdeadbeef}
 	seeds := []murmur3.Digest{{}, murmur3.SumDigest([]byte("seed"), murmur3.Digest{})}

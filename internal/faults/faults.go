@@ -126,8 +126,8 @@ func (r *Rule) err(isRead bool) error {
 
 // Stats counts what the injector actually did, for chaos-harness asserts.
 type Stats struct {
-	ReadOps, WriteOps                  int64 // operations observed
-	ReadErrs, WriteErrs                int64 // errors injected
+	ReadOps, WriteOps                   int64 // operations observed
+	ReadErrs, WriteErrs                 int64 // errors injected
 	TornWrites, BitFlips, LatencySpikes int64
 }
 

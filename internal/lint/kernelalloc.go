@@ -15,8 +15,8 @@ import (
 // belong outside the kernel, sized once, or in per-worker scratch.
 //
 // The check is syntactic: any method call named For whose final argument
-// is a function literal is treated as a kernel dispatch (Serial, Parallel,
-// and Pool all share that shape through the Executor interface). An
+// is a function literal is treated as a kernel dispatch (Serial and Pool
+// share that shape through the Executor interface). An
 // append whose destination is declared inside the closure (a local or a
 // parameter) is not flagged; growing a captured slice is — it is both an
 // allocation and, under a parallel executor, a data race. Genuinely cold

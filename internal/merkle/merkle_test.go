@@ -92,8 +92,10 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool := device.NewPool(4)
+	defer pool.Close()
 	a.Build(device.Serial{})
-	b.Build(device.NewParallel(4))
+	b.Build(pool)
 	if a.Root() != b.Root() {
 		t.Error("parallel build root differs from serial build root")
 	}
@@ -134,8 +136,10 @@ func TestDiffFindsExactChunks(t *testing.T) {
 	mutate := map[int]bool{0: true, 7: true, 41: true, 99: true}
 	a := buildTree(t, 100*32, 32, nil)
 	b := buildTree(t, 100*32, 32, mutate)
+	pool := device.NewPool(3)
+	defer pool.Close()
 	for _, start := range []int{0, 1, 3, 5, a.Depth()} {
-		chunks, _, err := Diff(a, b, start, device.NewParallel(3))
+		chunks, _, err := Diff(a, b, start, pool)
 		if err != nil {
 			t.Fatal(err)
 		}

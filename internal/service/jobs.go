@@ -59,12 +59,10 @@ func (sp JobSpec) validate() error {
 // names returns every run-bearing name the spec touches, for binding
 // validation.
 func (sp JobSpec) names() []string {
-	switch sp.Kind {
-	case JobGroup:
-		return append([]string{sp.Baseline}, sp.Runs...)
-	default:
-		return []string{sp.A, sp.B}
+	if sp.Kind == JobGroup {
+		return members(sp.Baseline, sp.Runs)
 	}
+	return []string{sp.A, sp.B}
 }
 
 // JobState is a job's lifecycle position.
@@ -102,10 +100,11 @@ type Job struct {
 	tenant string
 	done   chan struct{}
 
-	mu      sync.Mutex
-	state   JobState
-	verdict Verdict
-	err     error
+	mu    sync.Mutex
+	state JobState
+	// verdict is the job's verdict record once done: the one Status
+	// renders, whether or not a journal made it durable.
+	verdict wal.Record
 	result  *compare.Result
 	group   *compare.GroupReport
 	shardst *shard.Stats
@@ -121,21 +120,23 @@ func (j *Job) ID() uint64 { return j.id }
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Result returns the pair result for compare/shard jobs, nil before
-// completion or for group jobs.
+// completion, for group jobs, or for a job served from the ledger.
 func (j *Job) Result() *compare.Result {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.result
 }
 
-// Group returns the group report for group jobs, nil otherwise.
+// Group returns the group report for group jobs, nil otherwise (and for
+// a job served from the ledger).
 func (j *Job) Group() *compare.GroupReport {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.group
 }
 
-// ShardStats returns the schedule stats for shard jobs, nil otherwise.
+// ShardStats returns the schedule stats for shard jobs, nil otherwise
+// (and for a job served from the ledger).
 func (j *Job) ShardStats() *shard.Stats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -158,34 +159,27 @@ type JobStatus struct {
 	Degraded  bool  `json:"degraded,omitempty"`
 }
 
-// Status snapshots the job.
+// Status snapshots the job. A done job renders its verdict record, so a
+// live verdict and the same verdict served from the ledger after a
+// restart are identical by construction.
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := JobStatus{
-		ID:     j.id,
-		Kind:   string(j.kind),
-		Tenant: j.tenant,
-		State:  j.state.String(),
-	}
 	if j.state == JobDone {
-		st.Verdict = j.verdict.String()
-		st.ExitCode = j.verdict.ExitCode()
-		if j.err != nil {
-			st.Error = j.err.Error()
-		}
-		switch {
-		case j.result != nil:
-			st.DiffCount = j.result.DiffCount
-			st.Degraded = j.result.Degraded || j.result.UnverifiedChunks > 0
-		case j.group != nil:
-			for i := range j.group.Pairs {
-				st.DiffCount += j.group.Pairs[i].Result.DiffCount
-			}
-			st.Degraded = j.group.Degraded()
+		rec := j.verdict
+		return JobStatus{
+			ID:        rec.Job,
+			Kind:      rec.Kind,
+			Tenant:    rec.Tenant,
+			State:     JobDone.String(),
+			Verdict:   compare.Verdict(rec.Exit).String(),
+			ExitCode:  rec.Exit,
+			Error:     rec.ErrMsg,
+			DiffCount: rec.DiffCount,
+			Degraded:  rec.Degraded,
 		}
 	}
-	return st
+	return JobStatus{ID: j.id, Kind: string(j.kind), Tenant: j.tenant, State: j.state.String()}
 }
 
 // Submit runs a job asynchronously: options normalization and binding
@@ -202,32 +196,7 @@ func (s *Session) Submit(store *pfs.Store, spec JobSpec) (*Job, error) {
 		s.reject()
 		return nil, err
 	}
-	s.submitted()
-	opts, err := s.prepare(spec.Options, spec.names()...)
-	if err != nil {
-		return nil, err
-	}
-	spec.Options = opts
-	t, err := s.plane.sched.reserve(s.tenant)
-	if err != nil {
-		s.reject()
-		return nil, err
-	}
-	j := &Job{
-		id:     jobIDs.Add(1),
-		kind:   spec.Kind,
-		tenant: s.tenant.id,
-		done:   make(chan struct{}),
-	}
-	if err := s.journalAppend(acceptedRecord(j.id, j.tenant, spec)); err != nil {
-		s.plane.sched.abort(t)
-		s.reject()
-		return nil, fmt.Errorf("service: journal accepted record: %w", err)
-	}
-	s.plane.jobs.Add(1)
-	//lint:ignore gocheck joined by Plane.Close via plane.jobs.Wait
-	go s.runJob(j, t, store, spec)
-	return j, nil
+	return s.enqueue(store, spec, 0)
 }
 
 // resume re-admits one accepted-but-unfinished journal record under its
@@ -239,9 +208,19 @@ func (s *Session) resume(store *pfs.Store, rec wal.Record) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.enqueue(store, spec, rec.Job)
+}
+
+// enqueue is the one asynchronous admission path: count the submission,
+// bind its options and named runs, reserve a slot, and start the
+// detached job. A zero id is a fresh submission: it gets a new job ID,
+// and its accepted record is journaled before enqueue returns. A
+// non-zero id re-admits a journaled job under that ID.
+func (s *Session) enqueue(store *pfs.Store, spec JobSpec, id uint64) (*Job, error) {
 	s.submitted()
-	opts, err := s.prepare(spec.Options, spec.names()...)
+	opts, err := s.bind(spec.Options, spec.names()...)
 	if err != nil {
+		s.reject()
 		return nil, err
 	}
 	spec.Options = opts
@@ -250,12 +229,15 @@ func (s *Session) resume(store *pfs.Store, rec wal.Record) (*Job, error) {
 		s.reject()
 		return nil, err
 	}
-	j := &Job{
-		id:     rec.Job,
-		kind:   spec.Kind,
-		tenant: s.tenant.id,
-		done:   make(chan struct{}),
+	if id == 0 {
+		id = jobIDs.Add(1)
+		if err := s.journalAppend(acceptedRecord(id, s.tenant.id, spec)); err != nil {
+			s.plane.sched.abort(t)
+			s.reject()
+			return nil, fmt.Errorf("service: journal accepted record: %w", err)
+		}
 	}
+	j := &Job{id: id, kind: spec.Kind, tenant: s.tenant.id, done: make(chan struct{})}
 	s.plane.jobs.Add(1)
 	//lint:ignore gocheck joined by Plane.Close via plane.jobs.Wait
 	go s.runJob(j, t, store, spec)
@@ -274,7 +256,9 @@ func (s *Session) journalAppend(rec wal.Record) error {
 	return err
 }
 
-// runJob drives one detached job to its verdict.
+// runJob drives one detached job to its verdict. The scheduler slot is
+// released before the verdict is published, so a submission issued
+// right after Done sees the slot and the tenant quota free again.
 func (s *Session) runJob(j *Job, t *ticket, store *pfs.Store, spec JobSpec) {
 	defer s.plane.jobs.Done()
 	// Detached execution is governed by the plane lifecycle, not the
@@ -287,14 +271,24 @@ func (s *Session) runJob(j *Job, t *ticket, store *pfs.Store, spec JobSpec) {
 		// A plane-closed rejection is deliberately NOT journaled as a
 		// verdict: the job stays pending in the ledger, and the next
 		// life re-admits and re-runs it to its one durable verdict.
-		j.publish(nil, nil, nil, err)
+		j.publish(verdictRecord(j.id, j.tenant, spec, nil, nil, err), nil, nil, nil)
 		return
 	}
-	defer s.plane.sched.release(t)
+	rec, res, rep, stats := s.execJob(ctx, j, store, spec)
+	s.plane.sched.release(t)
+	j.publish(rec, res, rep, stats)
+}
+
+// execJob runs one admitted job and journals its verdict record,
+// returning what the job publishes. Durable-then-visible: if the
+// verdict record cannot be made durable, the job fails for THIS life
+// only — the ledger still lists it pending, and the next life re-runs
+// it to its one durable verdict.
+func (s *Session) execJob(ctx context.Context, j *Job, store *pfs.Store, spec JobSpec) (
+	wal.Record, *compare.Result, *compare.GroupReport, *shard.Stats) {
 	if err := s.journalAppend(startedRecord(j.id, j.tenant, spec)); err != nil {
-		s.finish(false, false, err)
-		j.publish(nil, nil, nil, err)
-		return
+		s.finish(compare.Outcome{}, err)
+		return verdictRecord(j.id, j.tenant, spec, nil, nil, err), nil, nil, nil
 	}
 	j.mu.Lock()
 	j.state = JobRunning
@@ -308,43 +302,29 @@ func (s *Session) runJob(j *Job, t *ticket, store *pfs.Store, spec JobSpec) {
 	)
 	switch spec.Kind {
 	case JobCompare:
-		res, err = s.execCompare(ctx, store, spec.A, spec.B, spec.Options)
+		res, err = compare.CompareMerkle(ctx, store, spec.A, spec.B, spec.Options)
 	case JobGroup:
-		rep, err = s.execGroup(ctx, store, spec.Baseline, spec.Runs, spec.Topology, spec.Options)
+		rep, err = compare.GroupCompare(ctx, store, spec.Baseline, spec.Runs, spec.Topology, spec.Options)
 	case JobShard:
 		res, stats, err = shard.Compare(ctx, store, spec.A, spec.B, spec.Shard, spec.Options)
-		s.finishResult(res, err)
 	}
-	// Durable-then-visible: the verdict record reaches the ledger before
-	// the verdict is published. If durability fails, the job fails for
-	// THIS life only — the ledger still lists it pending, and the next
-	// life re-runs it to its one durable verdict.
-	var v Verdict
-	if rep != nil || spec.Kind == JobGroup {
-		v = GroupVerdict(rep, err)
-	} else {
-		v = ResultVerdict(res, err)
+	s.finish(outcomeOf(res, rep), err)
+	rec := verdictRecord(j.id, j.tenant, spec, res, rep, err)
+	if jerr := s.journalAppend(rec); jerr != nil {
+		err := fmt.Errorf("service: journal verdict record: %w", jerr)
+		return verdictRecord(j.id, j.tenant, spec, nil, nil, err), nil, nil, nil
 	}
-	if jerr := s.journalAppend(verdictRecord(j.id, j.tenant, spec, v, res, rep, err)); jerr != nil {
-		j.publish(nil, nil, nil, fmt.Errorf("service: journal verdict record: %w", jerr))
-		return
-	}
-	j.publish(res, rep, stats, err)
+	return rec, res, rep, stats
 }
 
 // publish records the outcome and closes Done.
-func (j *Job) publish(res *compare.Result, rep *compare.GroupReport, stats *shard.Stats, err error) {
+func (j *Job) publish(verdict wal.Record, res *compare.Result, rep *compare.GroupReport, stats *shard.Stats) {
 	j.mu.Lock()
 	j.state = JobDone
-	j.err = err
+	j.verdict = verdict
 	j.result = res
 	j.group = rep
 	j.shardst = stats
-	if rep != nil || j.kind == JobGroup {
-		j.verdict = GroupVerdict(rep, err)
-	} else {
-		j.verdict = ResultVerdict(res, err)
-	}
 	j.mu.Unlock()
 	close(j.done)
 }

@@ -57,21 +57,34 @@ func startedRecord(id uint64, tenantID string, spec JobSpec) wal.Record {
 	return rec
 }
 
-// verdictRecord journals a job's outcome: the exit code, the divergence
-// and degradation evidence, and the compared snapshots' combined Merkle
-// roots — everything verify-log needs to recompute the verdict's inputs.
-func verdictRecord(id uint64, tenantID string, spec JobSpec, v Verdict,
+// outcomeOf applies the verdict rule to whichever report a job produced.
+func outcomeOf(res *compare.Result, rep *compare.GroupReport) compare.Outcome {
+	switch {
+	case res != nil:
+		return res.Outcome()
+	case rep != nil:
+		return rep.Outcome()
+	}
+	return compare.Outcome{}
+}
+
+// verdictRecord builds a job's verdict record: the exit code, the
+// divergence and degradation evidence, and the compared snapshots'
+// combined Merkle roots — everything verify-log needs to recompute the
+// verdict's inputs. Job.Status renders it, journaled or not.
+func verdictRecord(id uint64, tenantID string, spec JobSpec,
 	res *compare.Result, rep *compare.GroupReport, err error) wal.Record {
 	rec := acceptedRecord(id, tenantID, spec)
 	rec.Type = wal.TypeVerdict
-	rec.Exit = v.ExitCode()
+	o := outcomeOf(res, rep)
+	rec.Exit = compare.VerdictOf(o, err).ExitCode()
+	rec.Degraded = o.Degraded
 	if err != nil {
 		rec.ErrMsg = err.Error()
 	}
 	switch {
 	case res != nil:
 		rec.DiffCount = res.DiffCount
-		rec.Degraded = res.Degraded || res.UnverifiedChunks > 0
 		rec.UnverifiedChunks = res.UnverifiedChunks
 		rec.ReadRetries = res.ReadRetries
 		rec.RingFallbacks = res.RingFallbacks
@@ -83,7 +96,6 @@ func verdictRecord(id uint64, tenantID string, spec JobSpec, v Verdict,
 		for i := range rep.Pairs {
 			rec.DiffCount += rep.Pairs[i].Result.DiffCount
 		}
-		rec.Degraded = rep.Degraded()
 		rec.ReadRetries = rep.ReadRetries
 		rec.RingFallbacks = rep.RingFallbacks
 		rec.Roots = append([]murmur3.Digest(nil), rep.MemberRoots...)
@@ -94,7 +106,7 @@ func verdictRecord(id uint64, tenantID string, spec JobSpec, v Verdict,
 // specFromRecord reconstructs a runnable spec from an accepted record —
 // the recovery inverse of acceptedRecord. The rebuilt options carry only
 // the journaled coordinates (ε, chunk size, degrade); plane resources
-// are re-injected by the normal prepare path on re-admission.
+// are re-injected by the normal bind path on re-admission.
 func specFromRecord(rec wal.Record) (JobSpec, error) {
 	spec := JobSpec{
 		Kind: JobKind(rec.Kind),
@@ -121,14 +133,11 @@ func specFromRecord(rec wal.Record) (JobSpec, error) {
 		}
 		spec.Baseline = rec.Names[0]
 		spec.Runs = append([]string(nil), rec.Names[1:]...)
-		switch rec.Topology {
-		case "", compare.TopologyStar.String():
-			spec.Topology = compare.TopologyStar
-		case compare.TopologyAllPairs.String():
-			spec.Topology = compare.TopologyAllPairs
-		default:
-			return JobSpec{}, fmt.Errorf("service: journal job %d: unknown topology %q", rec.Job, rec.Topology)
+		topo, err := compare.ParseTopology(rec.Topology)
+		if err != nil {
+			return JobSpec{}, fmt.Errorf("service: journal job %d: %w", rec.Job, err)
 		}
+		spec.Topology = topo
 	default:
 		return JobSpec{}, fmt.Errorf("service: journal job %d: unknown kind %q", rec.Job, rec.Kind)
 	}
@@ -149,9 +158,10 @@ func raiseJobIDFloor(n uint64) {
 
 // Recovery is what Plane.Recover reconstructed from the journal.
 type Recovery struct {
-	// Ledger maps completed jobs to their durable verdict records. A
-	// recovered verdict is served from here, never recomputed.
-	Ledger map[uint64]wal.Record
+	// Ledger maps completed jobs to done Jobs holding their durable
+	// verdict records. A recovered verdict is served from here (its
+	// Status renders the record), never recomputed.
+	Ledger map[uint64]*Job
 	// Resumed lists the re-admitted jobs — accepted in a previous life
 	// but never given a verdict — now queued or running again under
 	// their original IDs.
@@ -183,7 +193,12 @@ func (p *Plane) Recover(ctx context.Context, store *pfs.Store, name string) (*Re
 
 	cls := wal.Classify(rep.Records)
 	raiseJobIDFloor(cls.MaxJob)
-	out := &Recovery{Ledger: cls.Verdicts, Replay: rep}
+	out := &Recovery{Ledger: make(map[uint64]*Job, len(cls.Verdicts)), Replay: rep}
+	for id, rec := range cls.Verdicts {
+		job := &Job{id: id, kind: JobKind(rec.Kind), tenant: rec.Tenant, done: make(chan struct{})}
+		job.publish(rec, nil, nil, nil)
+		out.Ledger[id] = job
+	}
 	for _, rec := range cls.Pending {
 		job, err := p.Open(rec.Tenant).resume(store, rec)
 		if err != nil {

@@ -64,18 +64,15 @@ func (s *Session) Binding(runID string) (Binding, bool) { return s.tenant.lookup
 // Bindings lists the tenant's catalog sorted by run ID.
 func (s *Session) Bindings() []Binding { return s.tenant.list() }
 
-// prepare normalizes the options on the plane and validates every named
-// run against the tenant's bindings. Both failure modes are submission
-// errors: nothing was admitted or executed.
-func (s *Session) prepare(opts compare.Options, names ...string) (compare.Options, error) {
+// bind normalizes the options on the plane and validates every named
+// run against the tenant's bindings.
+func (s *Session) bind(opts compare.Options, names ...string) (compare.Options, error) {
 	n, err := s.plane.normalizeOptions(opts)
 	if err != nil {
-		s.reject()
 		return compare.Options{}, err
 	}
 	for _, name := range names {
 		if err := s.tenant.checkRun(name, n.Epsilon, n.ChunkSize); err != nil {
-			s.reject()
 			return compare.Options{}, err
 		}
 	}
@@ -114,7 +111,7 @@ func (s *Session) reject() {
 }
 
 // finish classifies one executed comparison into the counters.
-func (s *Session) finish(diverged, degraded bool, err error) {
+func (s *Session) finish(o compare.Outcome, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
@@ -122,228 +119,128 @@ func (s *Session) finish(diverged, degraded bool, err error) {
 		return
 	}
 	s.stats.Completed++
-	if diverged {
+	if o.Diverged {
 		s.stats.Divergent++
 	}
-	if degraded {
+	if o.Degraded {
 		s.stats.Degraded++
 	}
 }
 
-func (s *Session) finishResult(res *compare.Result, err error) {
-	if err != nil || res == nil {
-		s.finish(false, false, err)
-		return
-	}
-	s.finish(res.DiffCount != 0, res.Degraded || res.UnverifiedChunks > 0, nil)
-}
-
-func (s *Session) finishGroup(rep *compare.GroupReport, err error) {
-	if err != nil || rep == nil {
-		s.finish(false, false, err)
-		return
-	}
-	diverged := false
-	for i := range rep.Pairs {
-		if rep.Pairs[i].Result.DiffCount != 0 {
-			diverged = true
-			break
-		}
-	}
-	s.finish(diverged, rep.Degraded(), nil)
-}
-
-func (s *Session) finishHistory(rep *compare.HistoryReport, err error) {
-	if err != nil || rep == nil {
-		s.finish(false, false, err)
-		return
-	}
-	s.finish(!rep.Reproducible(), rep.Degraded(), nil)
-}
-
-// Compare runs the two-stage Merkle comparison of one checkpoint pair.
-func (s *Session) Compare(ctx context.Context, store *pfs.Store, nameA, nameB string, opts compare.Options) (*compare.Result, error) {
+// call is the one admitted-call path every synchronous entry point runs
+// through: count the submission, bind its options and named runs, pass
+// admission, run, classify the outcome into the stats, and release the
+// slot. A nil outcome marks calls that prove no verdict (state
+// evolution, compaction); it is consulted only when run succeeded.
+func call[T any](ctx context.Context, s *Session, opts compare.Options, names []string,
+	run func(compare.Options) (T, error), outcome func(T) compare.Outcome) (T, error) {
+	var zero T
 	s.submitted()
-	opts, err := s.prepare(opts, nameA, nameB)
+	opts, err := s.bind(opts, names...)
 	if err != nil {
-		return nil, err
+		s.reject()
+		return zero, err
 	}
 	release, err := s.admit(ctx)
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
 	defer release()
-	return s.execCompare(ctx, store, nameA, nameB, opts)
+	v, err := run(opts)
+	var o compare.Outcome
+	if err == nil && outcome != nil {
+		o = outcome(v)
+	}
+	s.finish(o, err)
+	return v, err
 }
 
-func (s *Session) execCompare(ctx context.Context, store *pfs.Store, nameA, nameB string, opts compare.Options) (*compare.Result, error) {
-	res, err := compare.CompareMerkle(ctx, store, nameA, nameB, opts)
-	s.finishResult(res, err)
-	return res, err
+// members lists a group comparison's run-bearing names, baseline first.
+func members(baseline string, runs []string) []string { return append([]string{baseline}, runs...) }
+
+// Compare runs the two-stage Merkle comparison of one checkpoint pair.
+func (s *Session) Compare(ctx context.Context, store *pfs.Store, nameA, nameB string, opts compare.Options) (*compare.Result, error) {
+	return call(ctx, s, opts, []string{nameA, nameB}, func(o compare.Options) (*compare.Result, error) {
+		return compare.CompareMerkle(ctx, store, nameA, nameB, o)
+	}, (*compare.Result).Outcome)
 }
 
 // CompareDirect runs the optimized element-wise baseline.
 func (s *Session) CompareDirect(ctx context.Context, store *pfs.Store, nameA, nameB string, opts compare.Options) (*compare.Result, error) {
-	s.submitted()
-	opts, err := s.prepare(opts, nameA, nameB)
-	if err != nil {
-		return nil, err
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	res, err := compare.CompareDirect(ctx, store, nameA, nameB, opts)
-	s.finishResult(res, err)
-	return res, err
+	return call(ctx, s, opts, []string{nameA, nameB}, func(o compare.Options) (*compare.Result, error) {
+		return compare.CompareDirect(ctx, store, nameA, nameB, o)
+	}, (*compare.Result).Outcome)
 }
 
 // AllClose runs the naive boolean baseline.
 func (s *Session) AllClose(ctx context.Context, store *pfs.Store, nameA, nameB string, opts compare.Options) (bool, error) {
-	s.submitted()
-	opts, err := s.prepare(opts, nameA, nameB)
-	if err != nil {
-		return false, err
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
-		return false, err
-	}
-	defer release()
-	ok, _, err := compare.CompareAllClose(ctx, store, nameA, nameB, opts)
-	s.finish(err == nil && !ok, false, err)
-	return ok, err
+	return call(ctx, s, opts, []string{nameA, nameB}, func(o compare.Options) (bool, error) {
+		ok, _, err := compare.CompareAllClose(ctx, store, nameA, nameB, o)
+		return ok, err
+	}, func(ok bool) compare.Outcome { return compare.Outcome{Diverged: !ok} })
 }
 
 // CompareTreesOnly answers from metadata alone (works on compacted
 // history).
 func (s *Session) CompareTreesOnly(ctx context.Context, store *pfs.Store, nameA, nameB string, opts compare.Options) (*compare.Result, error) {
-	s.submitted()
-	opts, err := s.prepare(opts, nameA, nameB)
-	if err != nil {
-		return nil, err
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	res, err := compare.CompareTreesOnly(ctx, store, nameA, nameB, opts)
-	s.finishResult(res, err)
-	return res, err
+	return call(ctx, s, opts, []string{nameA, nameB}, func(o compare.Options) (*compare.Result, error) {
+		return compare.CompareTreesOnly(ctx, store, nameA, nameB, o)
+	}, (*compare.Result).Outcome)
 }
 
 // CompareHistories aligns and compares two runs' checkpoint histories.
 func (s *Session) CompareHistories(ctx context.Context, store *pfs.Store, runA, runB string, method compare.Method, opts compare.Options) (*compare.HistoryReport, error) {
-	s.submitted()
-	opts, err := s.prepare(opts, runA, runB)
-	if err != nil {
-		return nil, err
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	rep, err := compare.CompareHistories(ctx, store, runA, runB, method, opts)
-	s.finishHistory(rep, err)
-	return rep, err
+	return call(ctx, s, opts, []string{runA, runB}, func(o compare.Options) (*compare.HistoryReport, error) {
+		return compare.CompareHistories(ctx, store, runA, runB, method, o)
+	}, (*compare.HistoryReport).Outcome)
 }
 
 // GroupCompare compares N runs' checkpoints as one group plan.
 func (s *Session) GroupCompare(ctx context.Context, store *pfs.Store, baseline string, runs []string, topology compare.Topology, opts compare.Options) (*compare.GroupReport, error) {
-	s.submitted()
-	opts, err := s.prepare(opts, append([]string{baseline}, runs...)...)
-	if err != nil {
-		return nil, err
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return s.execGroup(ctx, store, baseline, runs, topology, opts)
-}
-
-func (s *Session) execGroup(ctx context.Context, store *pfs.Store, baseline string, runs []string, topology compare.Topology, opts compare.Options) (*compare.GroupReport, error) {
-	rep, err := compare.GroupCompare(ctx, store, baseline, runs, topology, opts)
-	s.finishGroup(rep, err)
-	return rep, err
+	return call(ctx, s, opts, members(baseline, runs), func(o compare.Options) (*compare.GroupReport, error) {
+		return compare.GroupCompare(ctx, store, baseline, runs, topology, o)
+	}, (*compare.GroupReport).Outcome)
 }
 
 // CompareDiff compares two differentially captured checkpoints through
 // the plane's shared CAS handle for the store.
 func (s *Session) CompareDiff(ctx context.Context, store *pfs.Store, cs *cas.Store, nameA, nameB string, opts compare.Options) (*compare.Result, error) {
-	s.submitted()
-	opts, err := s.prepare(opts, nameA, nameB)
-	if err != nil {
-		return nil, err
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	res, err := compare.CompareDiff(ctx, store, cs, nameA, nameB, opts)
-	s.finishResult(res, err)
-	return res, err
+	return call(ctx, s, opts, []string{nameA, nameB}, func(o compare.Options) (*compare.Result, error) {
+		return compare.CompareDiff(ctx, store, cs, nameA, nameB, o)
+	}, (*compare.Result).Outcome)
 }
 
 // GroupCompareDiff compares N differentially captured runs as one plan.
 func (s *Session) GroupCompareDiff(ctx context.Context, store *pfs.Store, cs *cas.Store, baseline string, runs []string, topology compare.Topology, opts compare.Options) (*compare.GroupReport, error) {
-	s.submitted()
-	opts, err := s.prepare(opts, append([]string{baseline}, runs...)...)
-	if err != nil {
-		return nil, err
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	rep, err := compare.GroupCompareDiff(ctx, store, cs, baseline, runs, topology, opts)
-	s.finishGroup(rep, err)
-	return rep, err
+	return call(ctx, s, opts, members(baseline, runs), func(o compare.Options) (*compare.GroupReport, error) {
+		return compare.GroupCompareDiff(ctx, store, cs, baseline, runs, topology, o)
+	}, (*compare.GroupReport).Outcome)
 }
 
 // ShardCompare runs one comparison sharded across simulated workers.
 func (s *Session) ShardCompare(ctx context.Context, store *pfs.Store, nameA, nameB string, cfg shard.Config, opts compare.Options) (*compare.Result, *shard.Stats, error) {
-	s.submitted()
-	opts, err := s.prepare(opts, nameA, nameB)
-	if err != nil {
-		return nil, nil, err
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer release()
-	res, stats, err := shard.Compare(ctx, store, nameA, nameB, cfg, opts)
-	s.finishResult(res, err)
+	var stats *shard.Stats
+	res, err := call(ctx, s, opts, []string{nameA, nameB}, func(o compare.Options) (res *compare.Result, err error) {
+		res, stats, err = shard.Compare(ctx, store, nameA, nameB, cfg, o)
+		return res, err
+	}, (*compare.Result).Outcome)
 	return res, stats, err
 }
 
 // ShardGroupCompare pools a group comparison's stage 2 into one fleet.
 func (s *Session) ShardGroupCompare(ctx context.Context, store *pfs.Store, baseline string, runs []string, topology compare.Topology, cfg shard.Config, opts compare.Options) (*compare.GroupReport, *shard.Stats, error) {
-	s.submitted()
-	opts, err := s.prepare(opts, append([]string{baseline}, runs...)...)
-	if err != nil {
-		return nil, nil, err
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer release()
-	rep, stats, err := shard.GroupCompare(ctx, store, baseline, runs, topology, cfg, opts)
-	s.finishGroup(rep, err)
+	var stats *shard.Stats
+	rep, err := call(ctx, s, opts, members(baseline, runs), func(o compare.Options) (rep *compare.GroupReport, err error) {
+		rep, stats, err = shard.GroupCompare(ctx, store, baseline, runs, topology, cfg, o)
+		return rep, err
+	}, (*compare.GroupReport).Outcome)
 	return rep, stats, err
 }
 
 // Analyze profiles two checkpoints' divergence magnitudes (the ε-picking
-// tool). No ε is involved, so bindings are not consulted, but the full
-// data read passes admission like any comparison.
+// tool). No ε is involved, so there are no options to bind and bindings
+// are not consulted, but the full data read passes admission like any
+// comparison.
 func (s *Session) Analyze(ctx context.Context, store *pfs.Store, nameA, nameB string) (*compare.Analysis, error) {
 	s.submitted()
 	release, err := s.admit(ctx)
@@ -352,43 +249,23 @@ func (s *Session) Analyze(ctx context.Context, store *pfs.Store, nameA, nameB st
 	}
 	defer release()
 	a, err := compare.Analyze(ctx, store, nameA, nameB)
-	s.finish(false, false, err)
+	s.finish(compare.Outcome{}, err)
 	return a, err
 }
 
 // Evolution builds a run's state-evolution profile from metadata.
 func (s *Session) Evolution(ctx context.Context, store *pfs.Store, runID string, opts compare.Options) (*compare.EvolutionReport, error) {
-	s.submitted()
-	opts, err := s.prepare(opts, runID)
-	if err != nil {
-		return nil, err
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	rep, err := compare.Evolution(ctx, store, runID, opts)
-	s.finish(false, false, err)
-	return rep, err
+	return call(ctx, s, opts, []string{runID}, func(o compare.Options) (*compare.EvolutionReport, error) {
+		return compare.Evolution(ctx, store, runID, o)
+	}, nil)
 }
 
 // CompactHistory compacts a run's older checkpoints to metadata-only
 // form through the plane.
 func (s *Session) CompactHistory(ctx context.Context, store *pfs.Store, runID string, keepLatest int, opts compare.Options) (*compare.CompactReport, error) {
-	s.submitted()
-	opts, err := s.prepare(opts, runID)
-	if err != nil {
-		return nil, err
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	rep, err := compare.CompactHistory(ctx, store, runID, keepLatest, opts)
-	s.finish(false, false, err)
-	return rep, err
+	return call(ctx, s, opts, []string{runID}, func(o compare.Options) (*compare.CompactReport, error) {
+		return compare.CompactHistory(ctx, store, runID, keepLatest, o)
+	}, nil)
 }
 
 // BuildAndSave builds and saves a checkpoint's metadata with the plane's
@@ -396,11 +273,8 @@ func (s *Session) CompactHistory(ctx context.Context, store *pfs.Store, runID st
 // session stats (it is the checkpointing path, not a served comparison),
 // but bound runs must still be captured at their bound coordinates.
 func (s *Session) BuildAndSave(ctx context.Context, store *pfs.Store, name string, opts compare.Options) (*compare.Metadata, compare.BuildStats, error) {
-	n, err := s.plane.normalizeOptions(opts)
+	n, err := s.bind(opts, name)
 	if err != nil {
-		return nil, compare.BuildStats{}, err
-	}
-	if err := s.tenant.checkRun(name, n.Epsilon, n.ChunkSize); err != nil {
 		return nil, compare.BuildStats{}, err
 	}
 	return compare.BuildAndSave(ctx, store, name, n)

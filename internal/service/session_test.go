@@ -168,9 +168,9 @@ func TestSessionOracleBitIdentical(t *testing.T) {
 // never interleave, and (c) a leak-free Close: no goroutines beyond the
 // pre-plane baseline survive.
 func TestConcurrentSessions(t *testing.T) {
-	envC := newSvcEnv(t, 16<<10, 7)  // Compare arm
-	envG := newSvcEnv(t, 16<<10, 8)  // GroupCompare arm
-	envT := newSvcEnv(t, 16<<10, 9)  // CompareTreesOnly arm
+	envC := newSvcEnv(t, 16<<10, 7) // Compare arm
+	envG := newSvcEnv(t, 16<<10, 8) // GroupCompare arm
+	envT := newSvcEnv(t, 16<<10, 9) // CompareTreesOnly arm
 	ctx := context.Background()
 
 	// Serial oracle on the direct planner paths. Each oracle runs twice

@@ -25,11 +25,13 @@ const (
 	testChunk = 4096 // 1024 float32 elements per chunk
 )
 
-func testOpts() compare.Options {
+func testOpts(t testing.TB) compare.Options {
+	pool := device.NewPool(2)
+	t.Cleanup(pool.Close)
 	return compare.Options{
 		Epsilon:   testEps,
 		ChunkSize: testChunk,
-		Exec:      device.NewParallel(2),
+		Exec:      pool,
 	}
 }
 
@@ -173,7 +175,7 @@ func TestCompareOracle(t *testing.T) {
 		"skewed":  perturbSkewed,
 	}
 	for wname, mutate := range workloads {
-		opts := testOpts()
+		opts := testOpts(t)
 		e := newEnv(t, 64<<10, opts, mutate)
 		oracle, err := compare.CompareMerkle(context.Background(), e.store, e.nameA, e.nameB, opts)
 		if err != nil {
@@ -228,7 +230,7 @@ func TestCompareOracle(t *testing.T) {
 // TestCompareIdenticalRuns: zero divergence means zero units and a clean
 // empty report, same as the oracle's.
 func TestCompareIdenticalRuns(t *testing.T) {
-	opts := testOpts()
+	opts := testOpts(t)
 	e := newEnv(t, 16<<10, opts, nil)
 	oracle, err := compare.CompareMerkle(context.Background(), e.store, e.nameA, e.nameB, opts)
 	if err != nil {
@@ -249,7 +251,7 @@ func TestCompareIdenticalRuns(t *testing.T) {
 // worker. Run under -race this also exercises the atomic gauge across
 // worker goroutines.
 func TestBudgetInvariant(t *testing.T) {
-	opts := testOpts()
+	opts := testOpts(t)
 	e := newEnv(t, 64<<10, opts, perturbUniform)
 	cfg := Config{Workers: 4, Stealing: true, Budget: 2 * testChunk, SubtreeChunks: 8}
 	_, stats, err := Compare(context.Background(), e.store, e.nameA, e.nameB, cfg, opts)
@@ -269,7 +271,7 @@ func TestBudgetInvariant(t *testing.T) {
 // TestBudgetRejectsSubChunk: a budget below one chunk pair can never make
 // progress and must be rejected up front.
 func TestBudgetRejectsSubChunk(t *testing.T) {
-	opts := testOpts()
+	opts := testOpts(t)
 	e := newEnv(t, 4<<10, opts, nil)
 	_, _, err := Compare(context.Background(), e.store, e.nameA, e.nameB, Config{Budget: testChunk}, opts)
 	if err == nil {
@@ -281,7 +283,7 @@ func TestBudgetRejectsSubChunk(t *testing.T) {
 // on: peers re-steal its returned unit, the report stays bit-identical,
 // and no goroutine leaks.
 func TestChaosKillRestealed(t *testing.T) {
-	opts := testOpts()
+	opts := testOpts(t)
 	e := newEnv(t, 64<<10, opts, perturbUniform)
 	oracle, err := compare.CompareMerkle(context.Background(), e.store, e.nameA, e.nameB, opts)
 	if err != nil {
@@ -308,7 +310,7 @@ func TestChaosKillRestealed(t *testing.T) {
 // re-steals, so the coordinator's drain fallback must execute the
 // orphaned units itself — degraded throughput, never a dropped verdict.
 func TestChaosKillCoordinatorDrain(t *testing.T) {
-	opts := testOpts()
+	opts := testOpts(t)
 	e := newEnv(t, 64<<10, opts, perturbUniform)
 	oracle, err := compare.CompareMerkle(context.Background(), e.store, e.nameA, e.nameB, opts)
 	if err != nil {
@@ -339,7 +341,7 @@ func TestChaosKillCoordinatorDrain(t *testing.T) {
 // and the one-shot re-read recovers clean bytes, so the report stays
 // bit-identical and undegraded.
 func TestDegradeIntegrityReread(t *testing.T) {
-	opts := testOpts()
+	opts := testOpts(t)
 	e := newEnv(t, 64<<10, opts, perturbUniform)
 	oracle, err := compare.CompareMerkle(context.Background(), e.store, e.nameA, e.nameB, opts)
 	if err != nil {
@@ -369,7 +371,7 @@ func TestDegradeIntegrityReread(t *testing.T) {
 // with the affected chunks counted unverified, never dropped or
 // miscounted as clean.
 func TestDegradeUnreadable(t *testing.T) {
-	opts := testOpts()
+	opts := testOpts(t)
 	e := newEnv(t, 64<<10, opts, perturbUniform)
 	oracle, err := compare.CompareMerkle(context.Background(), e.store, e.nameA, e.nameB, opts)
 	if err != nil {
@@ -432,7 +434,7 @@ func (h *cancelHook) BeforeWrite(name string, off int64, n int) (int, error) { r
 // TestCancellation cancels the context from inside a stage-2 read:
 // workers stop, the error propagates, and nothing leaks.
 func TestCancellation(t *testing.T) {
-	opts := testOpts()
+	opts := testOpts(t)
 	e := newEnv(t, 64<<10, opts, perturbUniform)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -451,7 +453,7 @@ func TestCancellation(t *testing.T) {
 // space, work stealing must cut the virtual makespan at least 1.5× vs
 // the static block assignment. This mirrors BENCH_shard's tracked floor.
 func TestStealingBeatsStatic(t *testing.T) {
-	opts := testOpts()
+	opts := testOpts(t)
 	e := newEnv(t, 128<<10, opts, perturbSkewed)
 	if err := e.store.SetStriping(pfs.Striping{Targets: 8, StripeBytes: 8 * testChunk}); err != nil {
 		t.Fatal(err)
@@ -487,7 +489,7 @@ func TestStealingBeatsStatic(t *testing.T) {
 // bandwidth term is the only difference between the policies.
 func TestPlacementBeatsRandom(t *testing.T) {
 	const bigChunk = 64 << 10
-	opts := testOpts()
+	opts := testOpts(t)
 	opts.ChunkSize = bigChunk
 	e := newEnv(t, 256<<10, opts, func(fi int, data []byte) {
 		for i := 0; i < len(data)/4; i += bigChunk / 4 {
@@ -518,7 +520,7 @@ func TestPlacementBeatsRandom(t *testing.T) {
 // compare.GroupCompare, for both topologies, with the whole group's
 // subtrees pooled across the worker fleet.
 func TestGroupOracle(t *testing.T) {
-	opts := testOpts()
+	opts := testOpts(t)
 	store, err := pfs.NewStore(t.TempDir(), pfs.LustreModel())
 	if err != nil {
 		t.Fatal(err)
@@ -591,7 +593,7 @@ func TestGroupOracle(t *testing.T) {
 // stealing on (schedule nondeterminism at its worst) and requires the
 // fully identical Result both times.
 func TestCompareDeterminism(t *testing.T) {
-	opts := testOpts()
+	opts := testOpts(t)
 	e := newEnv(t, 64<<10, opts, perturbUniform)
 	cfg := Config{Workers: 8, Stealing: true, SubtreeChunks: 2}
 	run := func() *compare.Result {
@@ -612,7 +614,7 @@ func TestCompareDeterminism(t *testing.T) {
 // TestGroupPairRoots: each sharded pair Result carries the combined roots
 // of the two members it compares.
 func TestGroupPairRoots(t *testing.T) {
-	opts := testOpts()
+	opts := testOpts(t)
 	e := newEnv(t, 16<<10, opts, perturbUniform)
 	rep, _, err := GroupCompare(context.Background(), e.store, e.nameA, []string{e.nameB},
 		compare.TopologyStar, Config{Workers: 2}, opts)

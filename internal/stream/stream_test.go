@@ -1,8 +1,8 @@
 package stream
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"sync/atomic"

@@ -138,12 +138,13 @@ type (
 	// Job is an asynchronous submission; wait on Done, snapshot with
 	// Status.
 	Job = service.Job
-	// JobStatus is a wire-friendly snapshot of one job (Job.Status);
-	// the reprod daemon also synthesizes it from ledger verdicts.
+	// JobStatus is a wire-friendly snapshot of one job (Job.Status); a
+	// job recovered from the ledger renders its durable verdict record
+	// through the same Status.
 	JobStatus = service.JobStatus
 	// JobVerdict is a comparison outcome on the reprocmp exit-code
 	// contract (0 clean / 1 error / 2 divergent / 3 degraded).
-	JobVerdict = service.Verdict
+	JobVerdict = compare.Verdict
 )
 
 // ErrPlaneClosed is returned by every submission path of a closed plane.
@@ -311,21 +312,6 @@ func GPUModel() DeviceModel { return device.GPUModel() }
 // CPUModel approximates a single CPU core.
 func CPUModel() DeviceModel { return device.CPUModel() }
 
-// NewParallelExecutor returns a spawn-per-loop executor (workers <= 0
-// selects GOMAXPROCS). Prefer DefaultExecutor or NewPoolExecutor, which
-// reuse persistent workers across kernels.
-func NewParallelExecutor(workers int) Executor { return device.NewParallel(workers) }
-
-// NewPoolExecutor returns a persistent worker-pool executor (workers <= 0
-// selects GOMAXPROCS). Workers are started once and reused by every
-// kernel dispatched through the executor; call its Close method when the
-// pool is no longer needed.
-func NewPoolExecutor(workers int) *device.Pool { return device.NewPool(workers) }
-
-// DefaultExecutor returns the default plane's persistent pool, the
-// executor injected when Options.Exec is nil.
-func DefaultExecutor() Executor { return DefaultPlane().Executor() }
-
 // SerialExecutor returns the single-threaded executor.
 func SerialExecutor() Executor { return device.Serial{} }
 
@@ -345,13 +331,6 @@ func DefaultBackend() *aio.Uring { return DefaultPlane().Backend() }
 
 // MmapBackend returns the synchronous page-fault read backend.
 func MmapBackend() aio.Mmap { return aio.Mmap{} }
-
-// CoalescingBackend wraps a backend so nearby scattered reads merge into
-// fewer, larger operations (gaps up to maxGap bytes are bridged). A nil
-// inner backend selects the shared persistent io_uring engine.
-func CoalescingBackend(inner aio.Backend, maxGap int) aio.Coalescing {
-	return aio.NewCoalescing(inner, maxGap)
-}
 
 // CheckpointName returns the canonical history file name for a checkpoint.
 func CheckpointName(runID string, iteration, rank int) string {
@@ -604,12 +583,6 @@ func CompareTreesOnly(ctx context.Context, store *Store, nameA, nameB string, op
 // IsCompacted reports whether a checkpoint survives only as metadata.
 func IsCompacted(store *Store, name string) bool {
 	return compare.IsCompacted(store, name)
-}
-
-// MetadataHistory lists a run's checkpoints that still have metadata,
-// compacted or not.
-func MetadataHistory(store *Store, runID string) ([]string, error) {
-	return compare.MetadataHistory(store, runID)
 }
 
 // DiffTrees runs the pruned breadth-first tree comparison directly on two
