@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-fast test race check chaos chaos-smoke bench bench-smoke bench-json bench-verify reprod-smoke wal-smoke experiments examples clean
+.PHONY: all build vet lint lint-fast test race check chaos chaos-smoke fuzz-smoke bench bench-smoke bench-json bench-verify reprod-smoke wal-smoke experiments examples clean
 
 all: build vet test
 
@@ -8,7 +8,7 @@ all: build vet test
 # lint runs at tier 2 (type-aware dataflow) and audits the tree's
 # suppression directives; the tier-2 smoke budget (<10s on the whole
 # tree) is asserted by TestTierTwoBudget in internal/lint.
-check: build vet lint test race chaos-smoke bench-smoke bench-verify reprod-smoke wal-smoke
+check: build vet lint test race chaos-smoke fuzz-smoke bench-smoke bench-verify reprod-smoke wal-smoke
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,11 @@ chaos:
 # chaos-smoke is the small-scale soak that gates `make check`.
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/chaos/
+
+# fuzz-smoke fuzzes the stage-2 compare kernel's bit-identity block skip
+# against the per-element reference loop for 5 s. Part of `make check`.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzCompareSlices$$' -fuzztime 5s ./internal/errbound/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

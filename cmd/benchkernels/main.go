@@ -188,11 +188,25 @@ func collect(chunkSize, fieldBytes int, window time.Duration) (*Report, error) {
 		return err
 	}))
 
-	// Element compare: the stage-2 exact verification kernel.
+	// Element compare: the stage-2 exact verification kernel, on the
+	// perturbed twin (sparse divergence: mostly bit-identical blocks the
+	// kernel skips) and on a dense twin with every element one ULP off,
+	// so no block is bit-identical and every element takes the ε test —
+	// the skip's worst case.
 	var dst []int64
 	report.add(measure("element_compare_f32", 2*int64(len(f32Chunk)), window, func() error {
 		var err error
 		dst, _, err = h32.CompareSlices(dst[:0], f32Chunk, f32Pair)
+		return err
+	}))
+	f32Dense := make([]byte, len(f32Chunk))
+	for i := 0; i < len(f32Chunk); i += 4 {
+		v := math.Float32frombits(binary.LittleEndian.Uint32(f32Chunk[i:]))
+		binary.LittleEndian.PutUint32(f32Dense[i:], math.Float32bits(math.Nextafter32(v, 0)))
+	}
+	report.add(measure("element_compare_f32_dense", 2*int64(len(f32Chunk)), window, func() error {
+		var err error
+		dst, _, err = h32.CompareSlices(dst[:0], f32Chunk, f32Dense)
 		return err
 	}))
 

@@ -25,7 +25,7 @@ func TestSmokeRunWritesReport(t *testing.T) {
 	if !report.Smoke {
 		t.Error("smoke run not marked as smoke")
 	}
-	want := []string{"leaf_hash_f32", "leaf_hash_f64", "tree_build", "tree_diff", "element_compare_f32"}
+	want := []string{"leaf_hash_f32", "leaf_hash_f64", "tree_build", "tree_diff", "element_compare_f32", "element_compare_f32_dense"}
 	if len(report.Kernels) != len(want) {
 		t.Fatalf("got %d kernels, want %d", len(report.Kernels), len(want))
 	}

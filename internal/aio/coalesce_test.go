@@ -5,6 +5,9 @@ import (
 	"context"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"repro/internal/pfs"
 )
 
 func TestCoalescingFillsBuffersCorrectly(t *testing.T) {
@@ -167,5 +170,157 @@ func TestQuickCoalescingEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// recordingBackend passes batches to an inner backend and keeps the
+// merged requests it was handed, so tests can see which runs a
+// Coalescing read in place.
+type recordingBackend struct {
+	inner Backend
+	seen  []ReadReq
+}
+
+func (r *recordingBackend) Name() string { return r.inner.Name() }
+
+func (r *recordingBackend) ReadBatch(ctx context.Context, f *pfs.File, reqs []ReadReq) (pfs.Cost, time.Duration, error) {
+	r.seen = append(r.seen, reqs...)
+	return r.inner.ReadBatch(ctx, f, reqs)
+}
+
+func (r *recordingBackend) ReadBatchPair(ctx context.Context, fA, fB *pfs.File, reqsA, reqsB []ReadReq) (pfs.Cost, time.Duration, error) {
+	r.seen = append(append(r.seen, reqsA...), reqsB...)
+	return r.inner.(PairReader).ReadBatchPair(ctx, fA, fB, reqsA, reqsB)
+}
+
+// layoutCase builds one batch shape over a fresh backing buffer and
+// reports whether its first merged run may be read in place.
+type layoutCase struct {
+	name   string
+	build  func() (reqs []ReadReq, backing []byte)
+	direct bool
+}
+
+// backToBack lays requests of n bytes at the given file offsets into one
+// backing buffer, in the order given.
+func backToBack(n int, offs ...int64) ([]ReadReq, []byte) {
+	backing := make([]byte, n*len(offs))
+	reqs := make([]ReadReq, len(offs))
+	for i, off := range offs {
+		reqs[i] = ReadReq{Off: off, Len: n, Buf: backing[i*n : (i+1)*n], Tag: i}
+	}
+	return reqs, backing
+}
+
+var layoutCases = []layoutCase{
+	{name: "direct", direct: true, build: func() ([]ReadReq, []byte) {
+		return backToBack(4096, 8192, 12288, 16384, 20480)
+	}},
+	{name: "direct-request-order-shuffled", direct: true, build: func() ([]ReadReq, []byte) {
+		reqs, backing := backToBack(4096, 8192, 12288, 16384, 20480)
+		reqs[0], reqs[3] = reqs[3], reqs[0]
+		reqs[1], reqs[2] = reqs[2], reqs[1]
+		return reqs, backing
+	}},
+	{name: "out-of-order-buffers", build: func() ([]ReadReq, []byte) {
+		// Gap-free in the file, but each buffer sits before its
+		// predecessor's in memory.
+		return backToBack(4096, 20480, 16384, 12288, 8192)
+	}},
+	{name: "non-adjacent-buffers", build: func() ([]ReadReq, []byte) {
+		reqs := make([]ReadReq, 4)
+		for i := range reqs {
+			reqs[i] = ReadReq{Off: int64(i) * 4096, Len: 4096, Buf: make([]byte, 4096), Tag: i}
+		}
+		return reqs, nil
+	}},
+	{name: "gapped", build: func() ([]ReadReq, []byte) {
+		return backToBack(4096, 0, 5120, 10240, 15360)
+	}},
+	{name: "duplicate-offset", build: func() ([]ReadReq, []byte) {
+		return backToBack(4096, 4096, 4096, 8192)
+	}},
+	{name: "overlapping", build: func() ([]ReadReq, []byte) {
+		return backToBack(4096, 0, 2048, 6144)
+	}},
+	{name: "capacity-capped-head", build: func() ([]ReadReq, []byte) {
+		// Adjacent, but the head's capacity stops short of the run: the
+		// run must not be read through it.
+		reqs, backing := backToBack(4096, 0, 4096, 8192)
+		reqs[0].Buf = backing[0:4096:4097]
+		return reqs, backing
+	}},
+	{name: "direct-then-gapped-then-single", direct: true, build: func() ([]ReadReq, []byte) {
+		return backToBack(4096, 0, 4096, 8192, 64<<10, 69<<10, 300<<10)
+	}},
+}
+
+// readSerial reads every request's window with plain ReadAt calls: the
+// oracle each coalesced layout must match byte for byte.
+func readSerial(t *testing.T, f *pfs.File, reqs []ReadReq) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(reqs))
+	for i, r := range reqs {
+		out[i] = make([]byte, r.Len)
+		if n, _, err := f.ReadAt(out[i], r.Off); err != nil || n != r.Len {
+			t.Fatalf("ReadAt(%d, %d): n=%d err=%v", r.Off, r.Len, n, err)
+		}
+	}
+	return out
+}
+
+func checkLayout(t *testing.T, tc layoutCase, side string, reqs []ReadReq, backing []byte, want [][]byte, seen []ReadReq) {
+	t.Helper()
+	for i, r := range reqs {
+		if !bytes.Equal(r.Buf[:r.Len], want[i]) {
+			t.Fatalf("%s request %d (off %d): bytes differ from serial ReadAt", side, i, r.Off)
+		}
+	}
+	if backing == nil {
+		return
+	}
+	inPlace := false
+	for _, m := range seen {
+		if &m.Buf[0] == &backing[0] {
+			inPlace = true
+		}
+	}
+	if inPlace != tc.direct {
+		t.Fatalf("%s: first run read in place = %v, want %v", side, inPlace, tc.direct)
+	}
+}
+
+// TestCoalescingLayouts drives every request layout through ReadBatch and
+// ReadBatchPair and checks the bytes against serial ReadAt — in-place
+// runs, gapped runs through recycled buffers (twice, so the second pass
+// reads into buffers holding the first pass's bytes), and layouts that
+// must fall back to the copy.
+func TestCoalescingLayouts(t *testing.T) {
+	_, fA, fB, _, _ := newPairFiles(t, 1<<20)
+	u := NewUring(16, 2)
+	defer u.Close()
+	for _, tc := range layoutCases {
+		t.Run(tc.name, func(t *testing.T) {
+			for pass := 0; pass < 2; pass++ {
+				rec := &recordingBackend{inner: u}
+				c := NewCoalescing(rec, 2048)
+				reqs, backing := tc.build()
+				want := readSerial(t, fA, reqs)
+				if _, _, err := c.ReadBatch(context.Background(), fA, reqs); err != nil {
+					t.Fatal(err)
+				}
+				checkLayout(t, tc, "ReadBatch", reqs, backing, want, rec.seen)
+
+				rec.seen = nil
+				reqsA, backingA := tc.build()
+				reqsB, backingB := tc.build()
+				wantA, wantB := readSerial(t, fA, reqsA), readSerial(t, fB, reqsB)
+				if _, _, err := c.ReadBatchPair(context.Background(), fA, fB, reqsA, reqsB); err != nil {
+					t.Fatal(err)
+				}
+				checkLayout(t, tc, "ReadBatchPair A", reqsA, backingA, wantA, rec.seen)
+				checkLayout(t, tc, "ReadBatchPair B", reqsB, backingB, wantB, rec.seen)
+			}
+		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/aio"
+	"repro/internal/bufpool"
 	"repro/internal/cas"
 	"repro/internal/engine"
 	"repro/internal/metrics"
@@ -183,7 +184,10 @@ func groupCompare(ctx context.Context, store *pfs.Store, cs *cas.Store, baseline
 }
 
 // union is one file's deduplicated stage-2 read: every extent any pair
-// needs from the file, offset-sorted and read once into buf.
+// needs from the file, offset-sorted and read once into buf. The extents
+// sit back to back in buf in offset order, so a coalescing backend reads
+// every gap-free run of them in place; buf comes from bufpool and goes
+// back when the plan exits.
 type union struct {
 	pos  map[int64]int64 // extent offset -> position in buf
 	buf  []byte
@@ -232,7 +236,8 @@ func (f *Front) stepMergeUnions(ctx context.Context, x *engine.Exec) error {
 		}
 		sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
 		u := &f.unions[ui]
-		u.buf = make([]byte, total)
+		u.buf = bufpool.Get(int(total))
+		x.Defer(func() { bufpool.Put(u.buf) })
 		u.pos = make(map[int64]int64, len(offs))
 		u.reqs = make([]aio.ReadReq, 0, len(offs))
 		var pos int64

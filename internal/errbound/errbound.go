@@ -17,6 +17,7 @@
 package errbound
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -321,6 +322,13 @@ func cellF64(bits uint64, eps float64) uint64 {
 // appends to dst the indices (element offsets relative to the start of the
 // slices) whose absolute difference exceeds ε. It returns the extended
 // slice and the number of elements compared.
+//
+// Stage 2 mostly sees chunks that are bit-identical but for a few
+// elements (a stage-1 false positive differs in one), so the kernel first
+// compares cmpBlock-byte blocks with bytes.Equal and runs the per-element
+// ε test only inside blocks that differ. A bit-identical element is always
+// within ε — NaN equals NaN and an infinity equals itself under Equal —
+// so skipping identical blocks cannot change the returned indices.
 func (h *Hasher) CompareSlices(dst []int64, a, b []byte) ([]int64, int, error) {
 	esz := h.dtype.Size()
 	if len(a) != len(b) {
@@ -330,20 +338,61 @@ func (h *Hasher) CompareSlices(dst []int64, a, b []byte) ([]int64, int, error) {
 		return dst, 0, fmt.Errorf("errbound: slice length %d not a multiple of element size %d", len(a), esz)
 	}
 	n := len(a) / esz
-	if h.dtype == Float32 {
-		for i := 0; i < n; i++ {
-			if !equalF32(binary.LittleEndian.Uint32(a[i*4:]), binary.LittleEndian.Uint32(b[i*4:]), h.eps) {
-				dst = append(dst, int64(i))
+	for base := 0; len(a) > 0; base += cmpBlock / esz {
+		m := min(len(a), cmpBlock)
+		if !bytes.Equal(a[:m], b[:m]) {
+			if h.dtype == Float32 {
+				dst = compareF32(dst, a[:m], b[:m], int64(base), h.eps)
+			} else {
+				dst = compareF64(dst, a[:m], b[:m], int64(base), h.eps)
 			}
 		}
-	} else {
-		for i := 0; i < n; i++ {
-			if !equalF64(binary.LittleEndian.Uint64(a[i*8:]), binary.LittleEndian.Uint64(b[i*8:]), h.eps) {
-				dst = append(dst, int64(i))
-			}
-		}
+		a, b = a[m:], b[m:]
 	}
 	return dst, n, nil
+}
+
+// cmpBlock is the bit-identity block of CompareSlices, in bytes: a
+// multiple of both element sizes, large enough that one bytes.Equal call
+// per block is cheap next to the per-element test it saves, small enough
+// that a single changed element sends few neighbours through that test.
+const cmpBlock = 256
+
+// compareF32 is the per-element ε test over raw float32 bytes, appending
+// base plus the element offset of every out-of-bound pair. It advances
+// the slices instead of indexing them (no per-load bounds checks) and
+// writes the finite path of equalF32 out in the loop body, because
+// equalF32 is over the inline budget and a call per element costs as
+// much as the test itself.
+func compareF32(dst []int64, a, b []byte, base int64, eps float64) []int64 {
+	for i := base; len(a) >= 4 && len(b) >= 4; i++ {
+		ba, bb := binary.LittleEndian.Uint32(a), binary.LittleEndian.Uint32(b)
+		if isFinite32(ba) && isFinite32(bb) {
+			if math.Abs(float64(math.Float32frombits(ba))-float64(math.Float32frombits(bb))) > eps {
+				dst = append(dst, i)
+			}
+		} else if !equalF32(ba, bb, eps) {
+			dst = append(dst, i)
+		}
+		a, b = a[4:], b[4:]
+	}
+	return dst
+}
+
+// compareF64 is compareF32 over raw float64 bytes.
+func compareF64(dst []int64, a, b []byte, base int64, eps float64) []int64 {
+	for i := base; len(a) >= 8 && len(b) >= 8; i++ {
+		ba, bb := binary.LittleEndian.Uint64(a), binary.LittleEndian.Uint64(b)
+		if isFinite64(ba) && isFinite64(bb) {
+			if math.Abs(math.Float64frombits(ba)-math.Float64frombits(bb)) > eps {
+				dst = append(dst, i)
+			}
+		} else if !equalF64(ba, bb, eps) {
+			dst = append(dst, i)
+		}
+		a, b = a[8:], b[8:]
+	}
+	return dst
 }
 
 // equalF64 is Equal on raw little-endian float64 bits with the finite fast

@@ -233,3 +233,33 @@ func TestGoldenCompareEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// referenceCompareSlices is the per-element CompareSlices loop the
+// bit-identity block skip replaced, kept verbatim: every element pair
+// takes the ε test. It is the oracle the skipping kernel is
+// equivalence-tested and fuzzed against, and the "before" case of the
+// compare benchmarks.
+func referenceCompareSlices(h *Hasher, dst []int64, a, b []byte) ([]int64, int, error) {
+	esz := h.dtype.Size()
+	if len(a) != len(b) {
+		return dst, 0, testingErr("reference: slice length mismatch")
+	}
+	if len(a)%esz != 0 {
+		return dst, 0, errChunkLen
+	}
+	n := len(a) / esz
+	if h.dtype == Float32 {
+		for i := 0; i < n; i++ {
+			if !equalF32(binary.LittleEndian.Uint32(a[i*4:]), binary.LittleEndian.Uint32(b[i*4:]), h.eps) {
+				dst = append(dst, int64(i))
+			}
+		}
+	} else {
+		for i := 0; i < n; i++ {
+			if !equalF64(binary.LittleEndian.Uint64(a[i*8:]), binary.LittleEndian.Uint64(b[i*8:]), h.eps) {
+				dst = append(dst, int64(i))
+			}
+		}
+	}
+	return dst, n, nil
+}

@@ -63,7 +63,11 @@ func groupCompare(ctx context.Context, store *pfs.Store, baseline string, runs [
 	if err != nil {
 		return nil, nil, err
 	}
-	return rep, &r.stats, nil
+	// Return a copy: a pointer into r would pin the whole run — units,
+	// frames, workers and their buffers — for as long as the caller keeps
+	// the Stats (the service plane keeps every job's).
+	stats := r.stats
+	return rep, &stats, nil
 }
 
 // partition pools every pair's divergent subtrees into one unit list —

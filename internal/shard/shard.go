@@ -425,6 +425,7 @@ func (r *run) execute(ctx context.Context, f *compare.Front) error {
 	if leftovers := r.dq.Drain(); len(leftovers) > 0 {
 		cs := workerState{}
 		cs.init(r, m)
+		defer cs.releaseBuffers()
 		for _, seq := range leftovers {
 			v, err := r.executeUnit(ctx, &cs, r.units[seq])
 			if err != nil {

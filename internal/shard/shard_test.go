@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/ckpt"
 	"repro/internal/compare"
 	"repro/internal/device"
@@ -626,5 +627,41 @@ func TestGroupPairRoots(t *testing.T) {
 			t.Errorf("pair %d: roots (%v, %v), members (%v, %v)", pi,
 				pr.Result.RootA, pr.Result.RootB, rep.MemberRoots[pr.A], rep.MemberRoots[pr.B])
 		}
+	}
+}
+
+// TestStatsDoNotPinRun keeps the Stats of many sharded comparisons, as
+// the service plane keeps every job's, and asserts that they do not keep
+// the runs behind them alive: units, encoded frames and every worker's
+// batch buffers must be collectable once Compare returns.
+func TestStatsDoNotPinRun(t *testing.T) {
+	opts := testOpts(t)
+	e := newEnv(t, 64<<10, opts, perturbUniform)
+	cfg := Config{Workers: 2}
+	if _, _, err := Compare(context.Background(), e.store, e.nameA, e.nameB, cfg, opts); err != nil {
+		t.Fatal(err) // warm the page cache and one-time state
+	}
+	heap := func() uint64 {
+		bufpool.Drain() // recycled-but-idle batch buffers are not the leak
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	kept := make([]*Stats, 0, 50)
+	for i := 0; i < cap(kept); i++ {
+		_, st, err := Compare(context.Background(), e.store, e.nameA, e.nameB, cfg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, st)
+	}
+	after := heap()
+	runtime.KeepAlive(kept)
+	growth := int64(after) - int64(before)
+	t.Logf("heap growth holding %d Stats: %.2f MiB", len(kept), float64(growth)/(1<<20))
+	if growth > 3<<20 {
+		t.Fatalf("heap grew %.1f MiB while holding %d Stats: each pins its run", float64(growth)/(1<<20), len(kept))
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"context"
 
+	"repro/internal/bufpool"
 	"repro/internal/errbound"
 	"repro/internal/mpi"
 	"repro/internal/pfs"
@@ -38,7 +39,8 @@ func (g *gauge) Peak() int64 { return g.peak.Load() }
 // InFlight returns the current in-flight bytes.
 func (g *gauge) InFlight() int64 { return g.inflight.Load() }
 
-// workerState is one worker's run-local state: reused buffers, cached
+// workerState is one worker's run-local state: batch buffers reused
+// across its units (from bufpool, returned when the worker exits), cached
 // hashers, accumulated virtual clock and accounting.
 type workerState struct {
 	r  *run
@@ -61,12 +63,12 @@ func (ws *workerState) init(r *run, id int) {
 	ws.hashers = make(map[errbound.DType]*errbound.Hasher)
 }
 
-// grow returns buf with at least n capacity, reusing the allocation.
-func grow(buf []byte, n int64) []byte {
-	if int64(cap(buf)) < n {
-		return make([]byte, n)
-	}
-	return buf[:n]
+// releaseBuffers hands the worker's batch buffers back to the recycler
+// once it has executed its last unit.
+func (ws *workerState) releaseBuffers() {
+	bufpool.Put(ws.bufA)
+	bufpool.Put(ws.bufB)
+	ws.bufA, ws.bufB = nil, nil
 }
 
 // workerLoop is one worker goroutine: drain the own deque head-first,
@@ -79,6 +81,7 @@ func grow(buf []byte, n int64) []byte {
 // receiver always terminates.
 func (r *run) workerLoop(ctx context.Context, w int, rank *mpi.Rank) (err error) {
 	ws := &r.workers[w]
+	defer ws.releaseBuffers()
 	defer func() {
 		died := uint8(0)
 		if ws.died {
@@ -184,8 +187,8 @@ func (r *run) runBatch(ctx context.Context, ws *workerState, hasher *errbound.Ha
 	need := 2 * batchBytes
 	ws.gauge.acquire(need)
 	defer ws.gauge.release(need)
-	ws.bufA = grow(ws.bufA, batchBytes)
-	ws.bufB = grow(ws.bufB, batchBytes)
+	ws.bufA = bufpool.Grow(ws.bufA, int(batchBytes))
+	ws.bufB = bufpool.Grow(ws.bufB, int(batchBytes))
 
 	var cost pfs.Cost
 	var backoff time.Duration

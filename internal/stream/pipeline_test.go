@@ -174,8 +174,9 @@ func TestSteadyStateSliceAllocs(t *testing.T) {
 	}
 }
 
-// TestSteadyStateSliceAllocsCoalescing covers the coalescing wrapper's
-// scratch arena the same way.
+// TestSteadyStateSliceAllocsCoalescing covers the coalescing wrapper the
+// same way: its recycled merge plans and, since the chunks here sit 4 KiB
+// apart, its gapped-merge buffers from bufpool.
 func TestSteadyStateSliceAllocsCoalescing(t *testing.T) {
 	fa, fb, _, _ := twoFiles(t, 1<<20)
 	const chunk = 4096

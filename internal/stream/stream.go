@@ -9,10 +9,14 @@
 //
 // Slice buffers come from a free list sized to the pipeline depth: each
 // buffer set (host buffers for both runs plus the two request batches) is
-// recycled as its slice completes, so steady-state slice processing does
-// no heap allocation. When the backend implements aio.PairReader, both
-// runs' requests for a slice are submitted as one overlapped batch;
-// otherwise the two reads serialize.
+// recycled as its slice completes, and the host buffers themselves come
+// from the process-wide bufpool recycler and go back to it when Run
+// returns, so a stream of comparisons reuses the same memory instead of
+// allocating and zeroing fresh buffers per run. Each slice's chunks sit
+// back to back in its host buffers, so a coalescing backend reads
+// adjacent candidate chunks straight into them. When the backend
+// implements aio.PairReader, both runs' requests for a slice are
+// submitted as one overlapped batch; otherwise the two reads serialize.
 //
 // The pipeline runs with real goroutine overlap (wall time) and accounts
 // virtual time with the depth-N recurrence (VirtualPipeline):
@@ -34,6 +38,7 @@ import (
 	"time"
 
 	"repro/internal/aio"
+	"repro/internal/bufpool"
 	"repro/internal/device"
 	"repro/internal/metrics"
 	"repro/internal/pfs"
@@ -165,8 +170,9 @@ func Run(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, cfg Config, c
 	// Free list of slice buffer sets, sized to the pipeline depth: the
 	// producer cannot run more than Depth slices ahead of the consumer.
 	pool := make(chan *slice, cfg.Depth)
-	for i := 0; i < cfg.Depth; i++ {
-		pool <- &slice{}
+	sets := make([]slice, cfg.Depth)
+	for i := range sets {
+		pool <- &sets[i]
 	}
 
 	// Producer: partitions pairs into ~SliceBytes slices lazily, filling
@@ -206,6 +212,12 @@ func Run(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, cfg Config, c
 	defer func() {
 		close(done)
 		for range filled { // drain so the producer can exit
+		}
+		// The producer has exited and the consumer is done: no slice
+		// buffer is referenced any more.
+		for i := range sets {
+			bufpool.Put(sets[i].bufA)
+			bufpool.Put(sets[i].bufB)
 		}
 	}()
 
@@ -257,12 +269,8 @@ func Run(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, cfg Config, c
 // fresh-ring read of the same requests.
 func (s *slice) fill(ctx context.Context, fA, fB *pfs.File, cfg Config) {
 	n := s.byteSize
-	if int64(cap(s.bufA)) < n {
-		s.bufA = make([]byte, n)
-		s.bufB = make([]byte, n)
-	}
-	s.bufA = s.bufA[:n]
-	s.bufB = s.bufB[:n]
+	s.bufA = bufpool.Grow(s.bufA, int(n))
+	s.bufB = bufpool.Grow(s.bufB, int(n))
 	var pos int64
 	for _, p := range s.pairs {
 		s.reqsA = append(s.reqsA, aio.ReadReq{Off: p.OffA, Len: p.Len, Buf: s.bufA[pos : pos+int64(p.Len)], Tag: p.Index})
