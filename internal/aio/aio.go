@@ -353,6 +353,12 @@ func (mm Mmap) ReadBatch(ctx context.Context, f *pfs.File, reqs []ReadReq) (pfs.
 			if err != nil && !errors.Is(err, io.EOF) {
 				return cost, 0, fmt.Errorf("aio: mmap fault at cluster %d: %w", c, err)
 			}
+			// The file ends inside the request when this cluster stops
+			// short of the request's end or, for a request that runs on
+			// into the next cluster, of its own end.
+			if have, need := clusterOff+int64(n), min(r.Off+int64(r.Len), clusterOff+clusterSize); have < need {
+				return cost, 0, shortRead(f, r.Off, int(have-r.Off), r.Len)
+			}
 			// Copy the overlap of this cluster with the request window.
 			lo := r.Off - clusterOff
 			if lo < 0 {
@@ -373,6 +379,17 @@ func (mm Mmap) ReadBatch(ctx context.Context, f *pfs.File, reqs []ReadReq) (pfs.
 		time.Duration(cost.CachedOps)*m.CachedLatency +
 		m.BandwidthTerm(cost, store.Sharers())
 	return cost, elapsed, nil
+}
+
+// shortRead is the error of a request the file ends inside. Every backend
+// fails such a request rather than returning it as a success with a
+// partly filled buffer: stage 2 compares whole request windows, and the
+// unread tail of a recycled buffer holds an earlier job's bytes.
+func shortRead(f *pfs.File, off int64, n, want int) error {
+	if n < 0 {
+		n = 0
+	}
+	return fmt.Errorf("aio: short read of %s@%d: %d of %d bytes: %w", f.Name(), off, n, want, io.ErrUnexpectedEOF)
 }
 
 // Ring is the submission/completion queue pair of the Uring backend.
@@ -470,8 +487,11 @@ func (r *Ring) worker() {
 			n, cost, err := e.f.ReadAt(e.req.Buf[:e.req.Len], e.req.Off)
 			comp.N = n
 			comp.Cost = cost
-			if err != nil && !errors.Is(err, io.EOF) {
+			switch {
+			case err != nil && !errors.Is(err, io.EOF):
 				comp.Err = err
+			case n < e.req.Len:
+				comp.Err = shortRead(e.f, e.req.Off, n, e.req.Len)
 			}
 		}
 		r.mu.Lock()

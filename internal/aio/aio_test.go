@@ -3,6 +3,8 @@ package aio
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -176,6 +178,55 @@ func TestBadRequests(t *testing.T) {
 		if _, _, err := (Mmap{}).ReadBatch(context.Background(), f, reqs); err == nil {
 			t.Errorf("mmap bad request %d accepted", i)
 		}
+	}
+}
+
+// TestShortReadsFail pins that a request the file ends inside fails with
+// io.ErrUnexpectedEOF on every backend, alone, merged and paired, instead
+// of succeeding with the tail of its buffer unwritten: that tail may hold
+// an earlier job's bytes, which stage 2 would then compare.
+func TestShortReadsFail(t *testing.T) {
+	const size = 100 << 10
+	_, f, data := newFile(t, size)
+	backends := []Backend{NewUring(8, 2), Legacy{}, Mmap{}, NewCoalescing(NewUring(8, 2), 0), NewCoalescing(Mmap{}, 0)}
+	batches := map[string]func() []ReadReq{
+		"runs past EOF": func() []ReadReq {
+			return []ReadReq{{Off: size - 100, Len: 4096, Buf: make([]byte, 4096)}}
+		},
+		"starts at EOF": func() []ReadReq {
+			return []ReadReq{{Off: size, Len: 10, Buf: make([]byte, 10)}}
+		},
+		"past EOF by a cluster": func() []ReadReq {
+			return []ReadReq{{Off: size - 4096, Len: 1 << 20, Buf: make([]byte, 1<<20)}}
+		},
+		"merged run ending past EOF": func() []ReadReq {
+			buf := make([]byte, 8192)
+			return []ReadReq{
+				{Off: size - 6000, Len: 4096, Buf: buf[:4096], Tag: 0},
+				{Off: size - 1904, Len: 4096, Buf: buf[4096:], Tag: 1},
+			}
+		},
+	}
+	for name, mk := range batches {
+		for _, b := range backends {
+			if _, _, err := b.ReadBatch(context.Background(), f, mk()); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("%s, %s: err = %v, want io.ErrUnexpectedEOF", name, b.Name(), err)
+			}
+			if pr, ok := b.(PairReader); ok {
+				good := []ReadReq{{Off: 0, Len: 4096, Buf: make([]byte, 4096)}}
+				if _, _, err := pr.ReadBatchPair(context.Background(), f, f, good, mk()); !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Errorf("%s, %s pair: err = %v, want io.ErrUnexpectedEOF", name, b.Name(), err)
+				}
+			}
+		}
+	}
+	// A request ending exactly at EOF is a full read.
+	for _, b := range backends {
+		reqs := []ReadReq{{Off: size - 4096, Len: 4096, Buf: make([]byte, 4096)}, {Off: 0, Len: 512, Buf: make([]byte, 512), Tag: 1}}
+		if _, _, err := b.ReadBatch(context.Background(), f, reqs); err != nil {
+			t.Fatalf("%s: read ending at EOF: %v", b.Name(), err)
+		}
+		verifyFilled(t, data, reqs)
 	}
 }
 
